@@ -75,6 +75,10 @@ pub enum Counter {
     Merges,
     /// Stale-heavy merge-heap rebuilds.
     HeapRebuilds,
+    /// Sibling-merge box-extension fixpoints run: one per candidate pair
+    /// of a parent whose memoized sibling geometry is rebuilt, plus one
+    /// per applied sibling merge.
+    SiblingFixpoints,
     /// Whole sibling groups skipped by the cached children-hull gate.
     HullGatePrunes,
     /// IPF sweeps over the constraint window.
@@ -128,7 +132,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
@@ -137,6 +141,7 @@ impl Counter {
         Counter::Drills,
         Counter::Merges,
         Counter::HeapRebuilds,
+        Counter::SiblingFixpoints,
         Counter::HullGatePrunes,
         Counter::IpfSweeps,
         Counter::IpfInnerIters,
@@ -171,6 +176,7 @@ impl Counter {
             Counter::Drills => "drills",
             Counter::Merges => "merges",
             Counter::HeapRebuilds => "heap_rebuilds",
+            Counter::SiblingFixpoints => "sibling_fixpoints",
             Counter::HullGatePrunes => "hull_gate_prunes",
             Counter::IpfSweeps => "ipf_sweeps",
             Counter::IpfInnerIters => "ipf_inner_iters",

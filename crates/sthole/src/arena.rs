@@ -122,46 +122,26 @@ impl BucketArena {
 
     /// Recomputes `id`'s children hull as the exact union of its child
     /// boxes (or the bucket's own box when childless — still a valid,
-    /// vacuously conservative hull).
+    /// vacuously conservative hull). Allocation-free: the child bounds are
+    /// folded straight into the hull slot.
     pub fn tighten_hull(&mut self, id: BucketId) {
         let n = self.ndim;
         let span = 2 * n;
-        let b = self.get(id);
-        if b.children.is_empty() {
-            let (bounds, hulls) = (&self.bounds, &mut self.hulls);
-            hulls[id * span..(id + 1) * span]
-                .copy_from_slice(&bounds[id * span..(id + 1) * span]);
+        let Self { slots, bounds, hulls, .. } = self;
+        let children = &slots[id].as_ref().expect("dangling bucket id").children;
+        let hull = &mut hulls[id * span..(id + 1) * span];
+        let Some((&first, rest)) = children.split_first() else {
+            hull.copy_from_slice(&bounds[id * span..(id + 1) * span]);
             return;
-        }
-        let first = b.children[0];
-        let rest: Vec<BucketId> = b.children[1..].to_vec();
-        let mut hull = [0.0f64; 16];
-        let hull = if span <= 16 { &mut hull[..span] } else { return self.tighten_hull_slow(id) };
-        hull.copy_from_slice(&self.bounds[first * span..(first + 1) * span]);
-        for c in rest {
-            let cb = &self.bounds[c * span..(c + 1) * span];
+        };
+        hull.copy_from_slice(&bounds[first * span..(first + 1) * span]);
+        for &c in rest {
+            let cb = &bounds[c * span..(c + 1) * span];
             for d in 0..n {
                 hull[d] = hull[d].min(cb[d]);
                 hull[n + d] = hull[n + d].max(cb[n + d]);
             }
         }
-        self.hulls[id * span..(id + 1) * span].copy_from_slice(hull);
-    }
-
-    /// High-dimensional fallback for [`BucketArena::tighten_hull`].
-    fn tighten_hull_slow(&mut self, id: BucketId) {
-        let n = self.ndim;
-        let span = 2 * n;
-        let children = self.get(id).children.clone();
-        let mut hull = self.bounds[children[0] * span..(children[0] + 1) * span].to_vec();
-        for c in &children[1..] {
-            let cb = &self.bounds[c * span..(c + 1) * span];
-            for d in 0..n {
-                hull[d] = hull[d].min(cb[d]);
-                hull[n + d] = hull[n + d].max(cb[n + d]);
-            }
-        }
-        self.hulls[id * span..(id + 1) * span].copy_from_slice(&hull);
     }
 
     /// Removes a bucket, recycling its slot. The caller is responsible for

@@ -20,14 +20,18 @@
 //! recomputes only those parents, bumps their version counter (lazily
 //! invalidating any queued heap entries), and then answers from the heap
 //! tops — O(log parents) per steady-state merge instead of a full parent
-//! scan. [`StHoles::best_merge_exhaustive`] keeps the original full scan
-//! as a brute-force oracle.
+//! scan. Each cache entry also memoizes its parent's sibling-merge
+//! geometry (see `SiblingMemo`), so a refresh whose child list is
+//! unchanged reruns no box-extension fixpoint.
+//! [`StHoles::best_merge_exhaustive`] keeps the original full scan, with
+//! every fixpoint recomputed, as a brute-force oracle.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::cmp::Reverse;
 
 use sth_geometry::Rect;
+use sth_platform::obs;
 
 use crate::scratch::RefineScratch;
 use crate::{Bucket, BucketId, StHoles};
@@ -107,6 +111,69 @@ impl Ord for HeapEntry {
     }
 }
 
+/// Sibling-merge geometry of one parent, memoized in its cache entry:
+/// the children it was computed from, the candidate pairs, and per pair
+/// the extended box `bn` with its participants.
+///
+/// Pair selection and the extension fixpoints read only the children's
+/// ids, boxes and box volumes, so the memo stays exact for as long as the
+/// child list is unchanged: same ids in the same order, bit-identical
+/// boxes. Any other change rebuilds it. Frequencies and own volumes are
+/// never memoized; the penalty arithmetic reads them afresh on every
+/// refresh.
+#[derive(Debug, Default)]
+struct SiblingMemo {
+    /// Children the memo was computed from, in children order.
+    kids: Vec<BucketId>,
+    /// Their packed bounds, `2·ndim` values each, so that a recycled slot
+    /// id carrying a different box never matches.
+    bounds: Vec<f64>,
+    /// Candidate pairs as positions into `kids`, sorted.
+    pairs: Vec<(u32, u32)>,
+    /// Per pair, the packed extended box.
+    boxes: Vec<f64>,
+    /// Per pair, the participant ids in children order, concatenated:
+    /// pair `t` owns `parts[part_ends[t - 1]..part_ends[t]]`.
+    parts: Vec<BucketId>,
+    part_ends: Vec<u32>,
+}
+
+impl SiblingMemo {
+    fn clear(&mut self) {
+        self.kids.clear();
+        self.bounds.clear();
+        self.pairs.clear();
+        self.boxes.clear();
+        self.parts.clear();
+        self.part_ends.clear();
+    }
+
+    /// Pair `t`'s extended box (`span` = `2·ndim`).
+    fn bn(&self, t: usize, span: usize) -> &[f64] {
+        &self.boxes[t * span..(t + 1) * span]
+    }
+
+    /// Pair `t`'s participants, in children order.
+    fn participants(&self, t: usize) -> &[BucketId] {
+        let start = if t == 0 { 0 } else { self.part_ends[t - 1] as usize };
+        &self.parts[start..self.part_ends[t] as usize]
+    }
+}
+
+/// One parent's cache entry.
+#[derive(Debug, Default)]
+struct ParentEntry {
+    merges: ParentMerges,
+    memo: SiblingMemo,
+}
+
+/// `true` when packed boxes `a` and `b` share interior volume — the
+/// predicate under which the sibling extension absorbs a box.
+fn overlaps(a: &[f64], b: &[f64]) -> bool {
+    let n = a.len() / 2;
+    (0..n).all(|d| a[d].max(b[d]) < a[n + d].min(b[n + d]))
+}
+
 /// Incremental best-merge state: per-parent caches, a dirty set, and two
 /// global min-heaps with versioned lazy deletion.
 ///
@@ -115,7 +182,7 @@ impl Ord for HeapEntry {
 /// from scratch).
 #[derive(Debug)]
 pub(crate) struct MergeAccel {
-    cache: HashMap<BucketId, ParentMerges>,
+    cache: HashMap<BucketId, ParentEntry>,
     /// Per-slot version; bumping it invalidates all queued heap entries.
     version: Vec<u64>,
     dirty: Vec<BucketId>,
@@ -173,15 +240,6 @@ impl MergeAccel {
     }
 }
 
-/// Everything needed to apply a sibling merge. (Penalty evaluation during
-/// the search uses the allocation-free [`StHoles::sibling_penalty`].)
-struct SiblingPlan {
-    bn_rect: Rect,
-    participants: Vec<BucketId>,
-    v_move: f64,
-    f_move: f64,
-}
-
 impl StHoles {
     /// Applies minimum-penalty merges until the bucket count is back under
     /// the budget.
@@ -233,14 +291,16 @@ impl StHoles {
             },
         };
         let winner = if pick_pc { pc.unwrap() } else { sib.unwrap() };
-        let entry = accel.cache.get(&winner.parent).expect("valid heap entry without cache");
+        let entry =
+            &accel.cache.get(&winner.parent).expect("valid heap entry without cache").merges;
         let mp = if pick_pc { &entry.best_parent_child } else { &entry.best_siblings };
         Some(mp.as_ref().expect("valid heap entry without candidate").clone())
     }
 
     /// Brute-force reference for [`StHoles::best_merge`]: rescans every
-    /// parent and recomputes every penalty, ignoring the incremental
-    /// acceleration state. O(buckets · children²); oracle for tests.
+    /// parent and recomputes every penalty and every sibling fixpoint,
+    /// ignoring the incremental acceleration state. O(buckets · children²);
+    /// oracle for tests.
     pub fn best_merge_exhaustive(&self) -> Option<MergePenalty> {
         let mut scratch = RefineScratch::default();
         let policy = self.config.merge_policy;
@@ -257,7 +317,7 @@ impl StHoles {
             if b.children.is_empty() {
                 continue;
             }
-            let entry = self.compute_parent_merges(id, &mut scratch);
+            let entry = self.compute_parent_merges(id, &mut scratch, &mut SiblingMemo::default());
             consider(&mut best_pc, &entry.best_parent_child);
             match policy {
                 crate::MergePolicy::All => {
@@ -298,19 +358,19 @@ impl StHoles {
             accel.dirty_flag[id] = false;
             accel.version[id] = accel.version[id].wrapping_add(1);
             if self.arena.contains(id) && !self.arena.get(id).children.is_empty() {
-                let entry = self.compute_parent_merges(id, &mut scratch);
+                let entry = accel.cache.entry(id).or_default();
+                entry.merges = self.compute_parent_merges(id, &mut scratch, &mut entry.memo);
                 let version = accel.version[id];
-                if let Some(mp) = &entry.best_parent_child {
+                if let Some(mp) = &entry.merges.best_parent_child {
                     accel
                         .heap_pc
                         .push(Reverse(HeapEntry { penalty: mp.penalty, parent: id, version }));
                 }
-                if let Some(mp) = &entry.best_siblings {
+                if let Some(mp) = &entry.merges.best_siblings {
                     accel
                         .heap_sib
                         .push(Reverse(HeapEntry { penalty: mp.penalty, parent: id, version }));
                 }
-                accel.cache.insert(id, entry);
             } else {
                 accel.cache.remove(&id);
             }
@@ -325,7 +385,7 @@ impl StHoles {
             sth_platform::obs::incr(sth_platform::obs::Counter::HeapRebuilds);
             accel.heap_pc.clear();
             accel.heap_sib.clear();
-            for (&id, entry) in &accel.cache {
+            for (&id, ParentEntry { merges: entry, .. }) in &accel.cache {
                 let version = accel.version[id];
                 if let Some(mp) = &entry.best_parent_child {
                     accel
@@ -354,37 +414,22 @@ impl StHoles {
         }
     }
 
-    /// Computes the cheapest merges below parent `id` from scratch,
-    /// allocation-free: per-child box/own volumes are hoisted once (the
-    /// original recomputed the parent's own volume per candidate, an
-    /// O(children²) term), and the sibling search works on packed bounds.
-    fn compute_parent_merges(&self, id: BucketId, scratch: &mut RefineScratch) -> ParentMerges {
-        let RefineScratch {
-            child_vols,
-            child_owns,
-            pairs,
-            pair_buf,
-            best2,
-            bn_lo,
-            bn_hi,
-            sib_parts,
-            x_order,
-            active,
-            ..
-        } = scratch;
+    /// Computes the cheapest merges below parent `id`, allocation-free:
+    /// own volumes are computed once per child, and the sibling candidates
+    /// take their extended boxes from `memo`, which is first brought up to
+    /// date with `id`'s children (an empty memo recomputes every fixpoint).
+    fn compute_parent_merges(
+        &self,
+        id: BucketId,
+        scratch: &mut RefineScratch,
+        memo: &mut SiblingMemo,
+    ) -> ParentMerges {
+        self.refresh_sibling_memo(id, memo, scratch);
+        let child_owns = &mut scratch.child_owns;
         let bucket = self.arena.get(id);
         let kids = &bucket.children;
-        child_vols.clear();
+        let v_p = self.arena.own_volume(id);
         child_owns.clear();
-        for &c in kids {
-            child_vols.push(self.arena.volume_of(c));
-        }
-        // Same arithmetic (and children order) as `BucketArena::own_volume`.
-        let mut v_p = self.arena.volume_of(id);
-        for &v in child_vols.iter() {
-            v_p -= v;
-        }
-        let v_p = v_p.max(0.0);
         for &c in kids {
             child_owns.push(self.arena.own_volume(c));
         }
@@ -405,23 +450,17 @@ impl StHoles {
             }
         }
 
-        self.sibling_pair_positions(id, pairs, pair_buf, best2);
-        if !pairs.is_empty() {
-            // Sweep order for the penalty evaluations below: children sorted
-            // by dim-0 lower edge (position as tiebreak, so the order is
-            // deterministic under equal edges).
-            x_order.clear();
-            x_order.extend(0..kids.len() as u32);
-            x_order.sort_unstable_by(|&a, &b| {
-                let xa = self.arena.bounds(kids[a as usize])[0];
-                let xb = self.arena.bounds(kids[b as usize])[0];
-                xa.total_cmp(&xb).then(a.cmp(&b))
-            });
-        }
-        for &(pi, pj) in pairs.iter() {
+        let span = 2 * self.domain().ndim();
+        for (t, &(pi, pj)) in memo.pairs.iter().enumerate() {
             let (pi, pj) = (pi as usize, pj as usize);
             let penalty = self.sibling_penalty(
-                id, pi, pj, v_p, child_vols, child_owns, bn_lo, bn_hi, sib_parts, x_order, active,
+                id,
+                pi,
+                pj,
+                v_p,
+                child_owns,
+                memo.bn(t, span),
+                memo.participants(t),
             );
             if entry.best_siblings.as_ref().is_none_or(|x| penalty < x.penalty) {
                 entry.best_siblings = Some(MergePenalty {
@@ -431,6 +470,47 @@ impl StHoles {
             }
         }
         entry
+    }
+
+    /// Brings `memo` up to date with `parent`'s children: an unchanged
+    /// child list (same ids, bit-identical boxes) keeps everything;
+    /// otherwise the candidate pairs are reselected and every fixpoint
+    /// reruns.
+    fn refresh_sibling_memo(
+        &self,
+        parent: BucketId,
+        memo: &mut SiblingMemo,
+        scratch: &mut RefineScratch,
+    ) {
+        let kids = &self.arena.get(parent).children;
+        let span = 2 * self.domain().ndim();
+        let same_box = |old: &[f64], c: BucketId| {
+            old.iter().zip(self.arena.bounds(c)).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        if memo.kids == *kids
+            && kids.iter().zip(memo.bounds.chunks_exact(span)).all(|(&c, old)| same_box(old, c))
+        {
+            return;
+        }
+        let RefineScratch { pair_buf, best2, x_order, active, sib_parts, .. } = scratch;
+        memo.clear();
+        memo.kids.extend_from_slice(kids);
+        for &c in kids {
+            memo.bounds.extend_from_slice(self.arena.bounds(c));
+        }
+        self.sibling_pair_positions(parent, &mut memo.pairs, pair_buf, best2);
+        if memo.pairs.is_empty() {
+            return;
+        }
+        self.sort_by_dim0(kids, x_order);
+        for &(pi, pj) in &memo.pairs {
+            let at = memo.boxes.len();
+            memo.boxes.resize(at + span, 0.0);
+            let bn = &mut memo.boxes[at..];
+            self.sibling_fixpoint(kids, pi, pj, x_order, active, bn, sib_parts);
+            memo.parts.extend(sib_parts.iter().map(|&p| kids[p as usize]));
+            memo.part_ends.push(memo.parts.len() as u32);
+        }
     }
 
     /// Fills `pairs` with the sibling pairs worth evaluating under
@@ -535,38 +615,43 @@ impl StHoles {
         pairs.dedup();
     }
 
-    /// Penalty of merging children at positions `pi`, `pj` under `parent`.
-    /// Slice-based twin of [`StHoles::sibling_plan`] — every expression
-    /// mirrors the `Rect` methods the plan uses, so both produce identical
-    /// bits; this one just never allocates.
+    /// Child positions of `kids` by ascending dim-0 lower edge (position
+    /// as tiebreak, so the order is deterministic under equal edges): the
+    /// sweep order of [`StHoles::sibling_fixpoint`].
+    fn sort_by_dim0(&self, kids: &[BucketId], x_order: &mut Vec<u32>) {
+        x_order.clear();
+        x_order.extend(0..kids.len() as u32);
+        x_order.sort_unstable_by(|&a, &b| {
+            let xa = self.arena.bounds(kids[a as usize])[0];
+            let xb = self.arena.bounds(kids[b as usize])[0];
+            xa.total_cmp(&xb).then(a.cmp(&b))
+        });
+    }
+
+    /// Extends the hull of the children at positions `pi`, `pj` of `kids`
+    /// until every other child is disjoint from it or inside it (Fig. 3
+    /// (b)). Writes the packed box to `bn` and the positions of the
+    /// children it swallows (the participants), in children order, to
+    /// `parts`. `x_order` comes from [`StHoles::sort_by_dim0`].
     #[allow(clippy::too_many_arguments)]
-    fn sibling_penalty(
+    fn sibling_fixpoint(
         &self,
-        parent: BucketId,
-        pi: usize,
-        pj: usize,
-        v_p_own: f64,
-        child_vols: &[f64],
-        child_owns: &[f64],
-        bn_lo: &mut Vec<f64>,
-        bn_hi: &mut Vec<f64>,
-        sib_parts: &mut Vec<u32>,
+        kids: &[BucketId],
+        pi: u32,
+        pj: u32,
         x_order: &[u32],
         active: &mut Vec<u32>,
-    ) -> f64 {
-        let pa = self.arena.get(parent);
-        let kids = &pa.children;
-        let (a, b) = (kids[pi], kids[pj]);
-        let ba = self.arena.bounds(a);
-        let bb = self.arena.bounds(b);
+        bn: &mut [f64],
+        parts: &mut Vec<u32>,
+    ) {
+        obs::incr(obs::Counter::SiblingFixpoints);
+        let ba = self.arena.bounds(kids[pi as usize]);
+        let bb = self.arena.bounds(kids[pj as usize]);
         let n = ba.len() / 2;
-        bn_lo.clear();
-        bn_hi.clear();
         for d in 0..n {
-            bn_lo.push(ba[d].min(bb[d]));
-            bn_hi.push(ba[n + d].max(bb[n + d]));
+            bn[d] = ba[d].min(bb[d]);
+            bn[n + d] = ba[n + d].max(bb[n + d]);
         }
-        // Extend until no other sibling partially overlaps (Fig. 3 (b)).
         // The box only ever grows, and each pass runs to stability, so the
         // result is the least fixpoint — independent of visit order (min /
         // max are exact, so even the bits are order-independent). Two
@@ -580,8 +665,8 @@ impl StHoles {
         //   and is never rescanned — later passes only revisit children
         //   that were still disjoint.
         active.clear();
-        active.extend(x_order.iter().copied().filter(|&p| p as usize != pi && p as usize != pj));
-        sib_parts.clear();
+        active.extend(x_order.iter().copied().filter(|&p| p != pi && p != pj));
+        parts.clear();
         loop {
             let mut changed = false;
             let mut kept = 0;
@@ -589,7 +674,7 @@ impl StHoles {
             while idx < active.len() {
                 let pos32 = active[idx];
                 let bs = self.arena.bounds(kids[pos32 as usize]);
-                if bs[0] > bn_hi[0] {
+                if bs[0] > bn[n] {
                     // Everything from here on starts past the box: still
                     // disjoint, keep it on the worklist for later passes.
                     while idx < active.len() {
@@ -600,61 +685,81 @@ impl StHoles {
                     break;
                 }
                 idx += 1;
-                let mut disjoint = false;
-                for d in 0..n {
-                    if bn_lo[d].max(bs[d]) >= bn_hi[d].min(bs[n + d]) {
-                        disjoint = true;
-                        break;
-                    }
-                }
-                if disjoint {
+                if !overlaps(bn, bs) {
                     active[kept] = pos32;
                     kept += 1;
                     continue;
                 }
-                let mut contained = true;
                 for d in 0..n {
-                    if bs[d] < bn_lo[d] || bs[n + d] > bn_hi[d] {
-                        contained = false;
-                        break;
+                    if bs[d] < bn[d] {
+                        bn[d] = bs[d];
+                        changed = true;
                     }
-                }
-                if !contained {
-                    for d in 0..n {
-                        if bs[d] < bn_lo[d] {
-                            bn_lo[d] = bs[d];
-                        }
-                        if bs[n + d] > bn_hi[d] {
-                            bn_hi[d] = bs[n + d];
-                        }
+                    if bs[n + d] > bn[n + d] {
+                        bn[n + d] = bs[n + d];
+                        changed = true;
                     }
-                    changed = true;
                 }
                 // Contained now (extension covers the box exactly): a
                 // permanent participant.
-                sib_parts.push(pos32);
+                parts.push(pos32);
             }
             active.truncate(kept);
             if !changed {
                 break;
             }
         }
-        // Positions were collected in sweep order; the volume sums below
-        // must run in children order to stay bit-identical to a plain scan.
-        sib_parts.sort_unstable();
+        // Positions were collected in sweep order; the volume sums of the
+        // penalty must run in children order to stay bit-identical to a
+        // plain scan.
+        parts.sort_unstable();
+    }
 
+    /// Volume of the packed box `bn`, and the volume and tuples a merge of
+    /// siblings `a`, `b` into `bn` takes over from the parent's own region
+    /// (volume `v_p_own` holding `f_p` tuples): `bn` minus the boxes of
+    /// `a`, `b` and the participants `parts`, subtracted in children order.
+    fn sibling_move(
+        &self,
+        bn: &[f64],
+        a: BucketId,
+        b: BucketId,
+        parts: &[BucketId],
+        f_p: f64,
+        v_p_own: f64,
+    ) -> (f64, f64, f64) {
+        let n = bn.len() / 2;
         let mut bn_vol = 1.0;
         for d in 0..n {
-            bn_vol *= bn_hi[d] - bn_lo[d];
+            bn_vol *= bn[n + d] - bn[d];
         }
-        // Volume the merged bucket takes over from the parent's own region.
-        let mut v_move = bn_vol - child_vols[pi] - child_vols[pj];
-        for &p in sib_parts.iter() {
-            v_move -= child_vols[p as usize];
+        let mut v_move = bn_vol - self.arena.volume_of(a) - self.arena.volume_of(b);
+        for &p in parts {
+            v_move -= self.arena.volume_of(p);
         }
         let v_move = v_move.max(0.0);
-        let rho_p = if v_p_own > 0.0 { pa.freq / v_p_own } else { 0.0 };
-        let f_move = (rho_p * v_move).min(pa.freq);
+        let rho_p = if v_p_own > 0.0 { f_p / v_p_own } else { 0.0 };
+        let f_move = (rho_p * v_move).min(f_p);
+        (bn_vol, v_move, f_move)
+    }
+
+    /// Penalty of merging the children at positions `pi`, `pj` of
+    /// `parent` into the extended box `bn` that swallows the siblings
+    /// `parts`.
+    #[allow(clippy::too_many_arguments)]
+    fn sibling_penalty(
+        &self,
+        parent: BucketId,
+        pi: usize,
+        pj: usize,
+        v_p_own: f64,
+        child_owns: &[f64],
+        bn: &[f64],
+        parts: &[BucketId],
+    ) -> f64 {
+        let pa = self.arena.get(parent);
+        let (a, b) = (pa.children[pi], pa.children[pj]);
+        let (bn_vol, v_move, f_move) = self.sibling_move(bn, a, b, parts, pa.freq, v_p_own);
 
         // Own volume of the merged bucket: its box minus all child boxes
         // (former children of a and b, plus the participants).
@@ -662,8 +767,8 @@ impl StHoles {
         for &c in self.arena.get(a).children.iter().chain(&self.arena.get(b).children) {
             v_n -= self.arena.volume_of(c);
         }
-        for &p in sib_parts.iter() {
-            v_n -= child_vols[p as usize];
+        for &p in parts {
+            v_n -= self.arena.volume_of(p);
         }
         let v_n = v_n.max(0.0);
 
@@ -674,51 +779,6 @@ impl StHoles {
         let v_a = child_owns[pi];
         let v_b = child_owns[pj];
         (f_a - rho_n * v_a).abs() + (f_b - rho_n * v_b).abs() + (f_move - rho_n * v_move).abs()
-    }
-
-    /// Builds the sibling-merge plan for children `a`, `b` of `parent`.
-    /// Cold path: only `apply_merge` calls this (once per applied merge);
-    /// penalty evaluation during the search uses
-    /// [`StHoles::sibling_penalty`] instead.
-    fn sibling_plan(&self, parent: BucketId, a: BucketId, b: BucketId) -> SiblingPlan {
-        let pa = self.arena.get(parent);
-        let ra = &self.arena.get(a).rect;
-        let rb = &self.arena.get(b).rect;
-        let mut bn_rect = ra.hull(rb);
-        // Extend until no other sibling partially overlaps (Fig. 3 (b)).
-        loop {
-            let mut changed = false;
-            for &s in &pa.children {
-                if s == a || s == b {
-                    continue;
-                }
-                let rs = &self.arena.get(s).rect;
-                if bn_rect.intersects(rs) && !bn_rect.contains_rect(rs) {
-                    bn_rect.extend_to_cover(rs);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let participants: Vec<BucketId> = pa
-            .children
-            .iter()
-            .copied()
-            .filter(|&s| s != a && s != b && bn_rect.contains_rect(&self.arena.get(s).rect))
-            .collect();
-
-        // Volume the merged bucket takes over from the parent's own region.
-        let mut v_move = bn_rect.volume() - ra.volume() - rb.volume();
-        for &p in &participants {
-            v_move -= self.arena.get(p).rect.volume();
-        }
-        let v_move = v_move.max(0.0);
-        let v_p_own = self.arena.own_volume(parent);
-        let rho_p = if v_p_own > 0.0 { pa.freq / v_p_own } else { 0.0 };
-        let f_move = (rho_p * v_move).min(pa.freq);
-        SiblingPlan { bn_rect, participants, v_move, f_move }
     }
 
     /// Applies a merge. The operation must refer to live buckets with the
@@ -745,28 +805,41 @@ impl StHoles {
                 self.invalidate_merges(parent);
             }
             MergeOp::Siblings { parent, a, b } => {
-                let plan = self.sibling_plan(parent, a, b);
+                let mut scratch = std::mem::take(&mut self.scratch);
+                let RefineScratch { x_order, active, sib_parts, participants, bn: bn_box, .. } =
+                    &mut scratch;
+                let pa = self.arena.get(parent);
+                let kids = &pa.children;
+                let pos = |id| kids.iter().position(|&c| c == id).expect("merge of a non-child");
+                let (pi, pj) = (pos(a) as u32, pos(b) as u32);
+                self.sort_by_dim0(kids, x_order);
+                bn_box.resize(2 * self.domain().ndim(), 0.0);
+                self.sibling_fixpoint(kids, pi, pj, x_order, active, bn_box, sib_parts);
+                participants.clear();
+                participants.extend(sib_parts.iter().map(|&p| kids[p as usize]));
+                let v_p_own = self.arena.own_volume(parent);
+                let (_, _, f_move) =
+                    self.sibling_move(bn_box, a, b, participants, pa.freq, v_p_own);
+                let (lo, hi) = bn_box.split_at(bn_box.len() / 2);
+                let rect = Rect::from_bounds(lo, hi);
+
                 let removed_a = self.arena.dealloc(a);
                 let removed_b = self.arena.dealloc(b);
                 let mut children = removed_a.children;
                 children.extend(removed_b.children);
-                children.extend(&plan.participants);
-                let f_n = removed_a.freq + removed_b.freq + plan.f_move;
-                let bn = self.arena.alloc(Bucket {
-                    rect: plan.bn_rect,
-                    freq: f_n,
-                    parent: Some(parent),
-                    children,
-                });
+                children.extend(participants.iter());
+                let f_n = removed_a.freq + removed_b.freq + f_move;
+                let bn =
+                    self.arena.alloc(Bucket { rect, freq: f_n, parent: Some(parent), children });
                 for i in 0..self.arena.get(bn).children.len() {
                     let c = self.arena.get(bn).children[i];
                     self.arena.get_mut(c).parent = Some(bn);
                 }
                 let p = self.arena.get_mut(parent);
-                p.children.retain(|&c| c != a && c != b && !plan.participants.contains(&c));
+                p.children.retain(|&c| c != a && c != b && !participants.contains(&c));
                 p.children.push(bn);
-                p.freq = (p.freq - plan.f_move).max(0.0);
-                let _ = plan.v_move; // kept for documentation symmetry
+                p.freq = (p.freq - f_move).max(0.0);
+                self.scratch = scratch;
                 self.nonroot_count -= 1;
                 self.arena.tighten_hull(parent);
                 self.arena.tighten_hull(bn);
@@ -897,6 +970,42 @@ mod tests {
         let op = fast.unwrap().op;
         h.apply_merge(&op);
         assert_eq!(h.best_merge(), h.best_merge_exhaustive());
+    }
+
+    #[test]
+    fn drill_inside_a_child_reuses_every_sibling_fixpoint() {
+        use sth_data::Dataset;
+        use sth_index::ScanCounter;
+        use sth_platform::obs::{force_metrics, read, Counter};
+
+        force_metrics(true);
+        let mut h = StHoles::with_total(domain(), 10, 100.0);
+        let root = h.root();
+        let boxes =
+            [([0.0, 0.0], [20.0, 20.0]), ([30.0, 0.0], [50.0, 20.0]), ([0.0, 30.0], [20.0, 50.0])];
+        let kids: Vec<BucketId> = boxes
+            .iter()
+            .map(|(lo, hi)| {
+                h.arena.alloc(Bucket::leaf(Rect::from_bounds(lo, hi), 10.0, Some(root)))
+            })
+            .collect();
+        h.arena.get_mut(root).children.extend(&kids);
+        h.nonroot_count = kids.len();
+        let before = read(Counter::SiblingFixpoints);
+        h.best_merge();
+        assert_eq!(read(Counter::SiblingFixpoints) - before, 3, "one fixpoint per sibling pair");
+
+        // The drill dirties the root through its child, but leaves the
+        // root's child list as it was.
+        let points = vec![vec![6.0, 7.0, 8.0], vec![6.0, 7.0, 8.0]];
+        let ds = Dataset::from_columns("drill", domain(), points);
+        h.drill_only(&Rect::from_bounds(&[5.0, 5.0], &[10.0, 10.0]), &ScanCounter::new(&ds));
+        assert_eq!(h.arena.get(kids[0]).children.len(), 1, "no hole drilled");
+        assert_eq!(h.arena.get(root).children, kids);
+        let before = read(Counter::SiblingFixpoints);
+        let fast = h.best_merge();
+        assert_eq!(read(Counter::SiblingFixpoints), before, "the root's refresh reran a fixpoint");
+        assert_eq!(fast, h.best_merge_exhaustive());
     }
 
     #[test]

@@ -25,21 +25,15 @@ pub(crate) struct RefineScratch {
     pub participants: Vec<BucketId>,
     /// Children still able to force a shrink of the candidate hole.
     pub shrink_cands: Vec<BucketId>,
-    /// Per-child box volumes for the merge planner (children order).
-    pub child_vols: Vec<f64>,
     /// Per-child own-region volumes for the merge planner (children order).
     pub child_owns: Vec<f64>,
-    /// Candidate sibling pairs as positions into the children list.
-    pub pairs: Vec<(u32, u32)>,
     /// (hull growth, i, j) triples for sibling-pair pruning.
     pub pair_buf: Vec<(f64, u32, u32)>,
     /// Two best merge partners per child during sibling-pair pruning.
     pub best2: Vec<[(f64, u32); 2]>,
-    /// Low corner of the tentative merged sibling box.
-    pub bn_lo: Vec<f64>,
-    /// High corner of the tentative merged sibling box.
-    pub bn_hi: Vec<f64>,
-    /// Participant positions for the sibling penalty evaluation.
+    /// Packed extended box of the sibling merge being applied.
+    pub bn: Vec<f64>,
+    /// Participant positions found by one sibling fixpoint.
     pub sib_parts: Vec<u32>,
     /// Child positions sorted by dim-0 lower edge — the sweep order that
     /// lets the sibling extension loop stop at the first child starting

@@ -4,6 +4,7 @@
 //! drills and merges interleave.
 
 use sth_platform::check::prelude::*;
+use sth_platform::rng::Rng;
 use sth_data::Dataset;
 use sth_geometry::Rect;
 use sth_histogram::StHoles;
@@ -101,5 +102,55 @@ check! {
         let warm = h.best_merge().map(|m| m.penalty);
         let cold = back.best_merge().map(|m| m.penalty);
         prop_assert_eq!(cold, warm);
+    }
+}
+
+check! {
+    cases = 4;
+
+    fn best_merge_agrees_with_oracle_at_high_fanout(
+        ndim in 3usize..7,
+        budget in 40usize..121,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Small queries in 3–6 d leave most holes directly under the root,
+        // so its fanout climbs far past the 12 children where pruned
+        // sibling-pair selection starts: the regime in which memoized
+        // sibling fixpoints are reused and invalidated. Twice the budget in
+        // queries keeps compaction recycling slots; periodic decay
+        // rescales every frequency and drops all cached state.
+        let mut rng = Rng::seed_from_u64(seed);
+        let domain = Rect::cube(ndim, 0.0, 100.0);
+        let columns = (0..ndim)
+            .map(|_| (0..400).map(|_| rng.gen_range(0.0..100.0)).collect())
+            .collect();
+        let ds = Dataset::from_columns("oracle_nd", domain.clone(), columns);
+        let counter = ScanCounter::new(&ds);
+        let mut h = StHoles::with_total(domain, budget, ds.len() as f64);
+        // Refined in lockstep but never asked for a merge between refines,
+        // so its memos carry over whole refines (a compaction's last merge
+        // can free a child's slot that the next drill reuses at the same
+        // position). Memos never influence results: it must stay
+        // byte-identical to `h`.
+        let mut shadow = h.clone();
+        let mut max_fanout = 0;
+        for i in 0..2 * budget + 40 {
+            let lo: Vec<f64> = (0..ndim).map(|_| rng.gen_range(0.0..75.0)).collect();
+            let hi: Vec<f64> = lo.iter().map(|&l| l + rng.gen_range(10.0..25.0)).collect();
+            let q = Rect::from_bounds(&lo, &hi);
+            h.refine(&q, &counter);
+            shadow.refine(&q, &counter);
+            assert_agrees(&mut h)?;
+            max_fanout = max_fanout.max(h.arena().get(h.root()).children.len());
+            if i % 40 == 39 {
+                h.decay(0.9);
+                shadow.decay(0.9);
+                assert_agrees(&mut h)?;
+            }
+        }
+        prop_assert!(max_fanout > 12, "root fanout peaked at {max_fanout}");
+        prop_assert!(shadow.to_bytes() == h.to_bytes(), "the shadow histogram diverged");
+        let mut cold = h.clone();
+        prop_assert_eq!(cold.best_merge(), h.best_merge());
     }
 }

@@ -7,8 +7,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Tests that must run and pass; raise it when adding tests, so coverage
+# cannot shrink silently (e.g. a root-only `cargo test`).
+TEST_FLOOR=448
+
+test_log="$(mktemp -t sth_verify_tests.XXXXXX.log)"
+trace_log="$(mktemp -t sth_verify_trace.XXXXXX.jsonl)"
+trap 'rm -f "$test_log" "$trace_log"' EXIT
+
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline 2>&1 | tee "$test_log"
+passed="$(sed -n 's/^test result: [a-zA-Z]*\. \([0-9]*\) passed.*/\1/p' "$test_log" \
+    | awk '{ n += $1 } END { print n + 0 }')"
+if (( passed < TEST_FLOOR )); then
+    echo "verify: $passed tests passed, below the floor of $TEST_FLOOR" >&2
+    exit 1
+fi
+echo "verify: $passed tests passed (floor $TEST_FLOOR)"
 cargo build --examples --offline
 
 # Observability acceptance: run the demo with audit mode on and tracing to
@@ -16,8 +31,6 @@ cargo build --examples --offline
 # invariant, re-checks histogram invariants after every refinement
 # (STH_AUDIT=1), and validates that the emitted event log parses and
 # covers clustering, drilling, merging, IPF and index probes.
-trace_log="$(mktemp -t sth_verify_trace.XXXXXX.jsonl)"
-trap 'rm -f "$trace_log"' EXIT
 STH_TRACE="$trace_log" STH_AUDIT=1 \
     cargo run -q --release --offline --example observability > /dev/null
 echo "verify: observability example OK ($(wc -l < "$trace_log") trace events)"
