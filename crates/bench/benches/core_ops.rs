@@ -180,12 +180,11 @@ fn bench_serve_engine(c: &mut Bench) {
 }
 
 fn bench_registry_route(c: &mut Bench) {
-    // Multi-tenant routing overhead and sharded-publication cost. The
-    // routed mixed batch is compared against answering the same number of
-    // probes from one pinned tenant view (what routing costs on top of
-    // estimation); the publish rows contrast a clean differential publish
-    // — every shard recognized bit-identical and skipped — with a forced
-    // full refreeze of every shard cell.
+    // Multi-tenant routing overhead and publication cost. The routed
+    // mixed batch is compared against answering the same number of probes
+    // from one pinned tenant view (what routing costs on top of
+    // estimation); the publish row freezes one tenant and swaps the
+    // snapshot into its cell.
     use sth_eval::{Registry, TenantKey};
     let tenants = 4usize;
     let mut reg = Registry::new();
@@ -219,11 +218,8 @@ fn bench_registry_route(c: &mut Bench) {
             black_box(out.len())
         });
     });
-    g.bench_function("publish_differential_clean", |b| {
-        b.iter(|| black_box(reg.publish_with(0, &hists[0], true).shard_skips));
-    });
-    g.bench_function("publish_full_refreeze", |b| {
-        b.iter(|| black_box(reg.publish_with(0, &hists[0], false).shard_publishes));
+    g.bench_function("publish", |b| {
+        b.iter(|| black_box(reg.publish(0, &hists[0]).tenant_epoch));
     });
     g.finish();
 }

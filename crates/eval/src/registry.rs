@@ -1,29 +1,23 @@
-//! Multi-tenant histogram registry with sharded publication.
+//! Multi-tenant histogram registry.
 //!
 //! The paper's histograms are per-(table, column-set) structures; a
 //! realistic serving tier holds thousands of them behind one surface. The
 //! [`Registry`] owns one tenant per [`TenantKey`], routes mixed-tenant
 //! estimate batches to the right histogram ([`Registry::estimate_batch_routed`],
 //! preserving the estimator zoo's clear-then-fill contract), and publishes
-//! snapshots at *shard* granularity: every tenant's frozen tree is
-//! [shattered](sth_histogram::FrozenHistogram::shatter) into root-level
-//! subtree shards, each living in its own [`SnapshotCell`]. A refine that
-//! only touched one region republishes one shard's cell; clean shards are
-//! detected by bitwise content equality and keep their `Arc` — and their
-//! epoch, which is what the per-shard republish assertions key on.
+//! each tenant as one frozen snapshot ([`TenantView`]) in its own
+//! [`SnapshotCell`]: a reader pins a whole tenant with a single load and
+//! answers every estimate with one walk over one bucket tree.
 //!
-//! ## Epochs, three layers of them
+//! ## Epochs, two axes of them
 //!
-//! * **Shard epochs** — each shard cell counts its own publishes; a
-//!   skipped (clean) shard's epoch provably does not move.
-//! * **Tenant epochs** — every publication round assembles a fresh
-//!   [`TenantView`] (thin root + pinned shard guards) into the tenant's
-//!   assembly cell, so readers pin one coherent composition with a single
-//!   load and the tenant epoch stays contiguous from 1 — the shape
-//!   [`EpochTimeline`] wants for per-tenant attribution.
+//! * **Tenant epochs** — the tenant's cell counts its publishes, so the
+//!   tenant epoch stays contiguous from 1 — the shape [`EpochTimeline`]
+//!   wants for per-tenant attribution.
 //! * **Composite epochs** — a registry-wide [`EpochClock`] ticks once per
-//!   publication round, totally ordering all tenants' publishes on one
-//!   timeline for the aggregate report.
+//!   publish, totally ordering all tenants' publishes on one timeline for
+//!   the aggregate report. Each view carries the composite epoch of the
+//!   publish that installed it.
 //!
 //! [`serve_registry`] drives the whole thing end to end: tenant trainers
 //! run on scoped threads (tenants dealt round-robin across workers; each
@@ -31,7 +25,7 @@
 //! publishes that dirty tenant), while the [`sth_serve`] engine serves the
 //! mixed-tenant stream — routing each generated batch by tenant
 //! ([`sth_serve::route_batch`]), answering each tenant's requests from one
-//! cached assembly pin (refreshed only when the tenant epoch moves), and
+//! cached pin (refreshed only when the tenant epoch moves), and
 //! attributing every request to both the tenant epoch and the composite
 //! epoch. Obs counters and latency samples roll up per-tenant and in
 //! aggregate.
@@ -41,11 +35,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use sth_geometry::Rect;
-use sth_histogram::{FrozenShard, StHoles, ThinRoot};
+use sth_histogram::{FrozenHistogram, StHoles};
 use sth_index::{RangeCounter, ResultSetCounter};
 use sth_platform::obs;
 use sth_platform::snap::{EpochClock, SnapshotCell, SnapshotGuard};
-use sth_query::{SelfTuning, Workload};
+use sth_query::{CardinalityEstimator, Estimator, SelfTuning, Workload};
 use sth_serve::{
     route_batch, serve_closed, Backend, EngineConfig, EngineStats, EpochTimeline, Pinned,
     ReaderStats, TenantId,
@@ -81,96 +75,62 @@ impl std::fmt::Display for TenantKey {
     }
 }
 
-/// One coherent, immutable assembly of a tenant's snapshot: the thin root
-/// plus a pinned guard per shard. Readers obtain it with a single
-/// [`Registry::load`]; the guards keep every shard alive (and remember its
-/// shard epoch) no matter what the trainer republishes meanwhile.
+/// One tenant's published state: the frozen snapshot of its histogram and
+/// the composite epoch of the publish that installed it. Readers pin it
+/// with a single [`Registry::load`]; the guard keeps it alive no matter
+/// what the trainer republishes meanwhile.
 #[derive(Clone, Debug)]
 pub struct TenantView {
-    root: ThinRoot,
-    shards: Vec<SnapshotGuard<FrozenShard>>,
+    frozen: FrozenHistogram,
     composite_epoch: u64,
 }
 
 impl TenantView {
-    fn shard_refs(&self) -> Vec<&FrozenShard> {
-        self.shards.iter().map(|g| &**g).collect()
-    }
-
-    /// Composed scalar estimate — bit-identical to the unsharded
-    /// `FrozenHistogram::estimate` (see `sth_histogram::ThinRoot`).
+    /// Scalar estimate from the tenant's frozen snapshot.
     pub fn estimate(&self, q: &Rect) -> f64 {
-        self.root.estimate(&self.shard_refs(), q)
+        self.frozen.estimate(q)
     }
 
-    /// Composed batch estimate; clears then fills `out`.
+    /// Batch estimate from the tenant's frozen snapshot; clears then
+    /// fills `out`.
     pub fn estimate_batch(&self, queries: &[Rect], out: &mut Vec<f64>) {
-        self.root.estimate_batch(&self.shard_refs(), queries, out)
+        self.frozen.estimate_batch(queries, out)
     }
 
-    /// Number of dimensions of the tenant's data space.
-    pub fn ndim(&self) -> usize {
-        self.root.ndim()
-    }
-
-    /// The composite epoch of the publication round that assembled this
-    /// view.
+    /// The composite epoch of the publish that installed this view.
     pub fn composite_epoch(&self) -> u64 {
         self.composite_epoch
     }
 
-    /// Per-shard epochs pinned by this view, shard order.
-    pub fn shard_epochs(&self) -> Vec<u64> {
-        self.shards.iter().map(|g| g.epoch()).collect()
-    }
-
-    /// Structural audit of the assembly: shard count matches the root and
-    /// every shard passes its own snapshot invariants. Serve readers run
-    /// this under `STH_AUDIT=1`.
+    /// The snapshot's structural invariants. Serve readers run this under
+    /// `STH_AUDIT=1`.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.shards.len() != self.root.shard_count() {
-            return Err(format!(
-                "view holds {} shards, root lists {}",
-                self.shards.len(),
-                self.root.shard_count()
-            ));
-        }
-        for (k, shard) in self.shards.iter().enumerate() {
-            shard.check_invariants().map_err(|e| format!("shard {k}: {e}"))?;
-        }
-        Ok(())
+        self.frozen.check_invariants()
     }
 }
 
-/// What one publication round did, per shard cell.
+/// What one [`Registry::publish`] did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PublishOutcome {
-    /// The tenant's new assembly epoch.
+    /// The tenant's new epoch.
     pub tenant_epoch: u64,
-    /// The registry-wide composite epoch of this round.
+    /// The registry-wide composite epoch of this publish.
     pub composite_epoch: u64,
-    /// Shard cells that received a new snapshot.
+    /// Always 1: every publish replaces the tenant's one snapshot. Kept,
+    /// with `shard_skips`, while the benchmark's
+    /// `registry.shard_publish_frac` metric still reads them.
     pub shard_publishes: u64,
-    /// Shard cells skipped because their content was bit-identical.
+    /// Always 0; see `shard_publishes`.
     pub shard_skips: u64,
-    /// Shards in the new assembly.
-    pub shards_total: usize,
-    /// Per-shard epochs after the round, shard order.
-    pub shard_epochs: Vec<u64>,
-}
-
-/// The single-writer half of a tenant: the shard cells, matched
-/// positionally round to round. A refine can insert or remove root-level
-/// children, shifting positions — that only costs spurious republishes,
-/// never correctness, because the assembly always re-pins every shard.
-struct TenantPublisher {
-    shard_cells: Vec<SnapshotCell<FrozenShard>>,
 }
 
 struct Tenant {
     key: TenantKey,
     cell: SnapshotCell<TenantView>,
-    publisher: Mutex<TenantPublisher>,
+    /// Orders this tenant's concurrent publishers (see
+    /// [`Registry::publish`]). It guards no data, so a lock poisoned by a
+    /// panicking publisher is safe to take again.
+    publish_lock: Mutex<()>,
 }
 
 /// The multi-tenant histogram registry. See the module docs.
@@ -181,22 +141,15 @@ pub struct Registry {
     clock: EpochClock,
 }
 
-/// Whether sharded (differential) publication is enabled. `STH_SHARD_PUBLISH=0`
-/// downgrades every round to a full refreeze — all shard cells republish.
-fn shard_publish_enabled() -> bool {
-    std::env::var("STH_SHARD_PUBLISH").map_or(true, |v| v != "0")
-}
-
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Registers a tenant at its initial histogram state. The initial
-    /// assembly and every shard start at epoch 1 (the [`SnapshotCell`]
-    /// convention); composite epoch 1 denotes "registered, never
-    /// republished".
+    /// Registers a tenant at its initial histogram state. The tenant
+    /// starts at epoch 1 (the [`SnapshotCell`] convention); composite
+    /// epoch 1 denotes "registered, never republished".
     ///
     /// Panics on a duplicate key — tenant identity is the registry's one
     /// uniqueness invariant.
@@ -205,85 +158,29 @@ impl Registry {
             !self.by_key.contains_key(&key),
             "tenant {key} is already registered"
         );
-        let (root, shards) = hist.freeze().shatter().into_parts();
-        let shard_cells: Vec<SnapshotCell<FrozenShard>> =
-            shards.into_iter().map(SnapshotCell::new).collect();
-        let view = TenantView {
-            root,
-            shards: shard_cells.iter().map(|c| c.load()).collect(),
-            composite_epoch: self.clock.now(),
-        };
+        let view = TenantView { frozen: hist.freeze(), composite_epoch: self.clock.now() };
         let id = self.tenants.len();
         self.tenants.push(Tenant {
             key: key.clone(),
             cell: SnapshotCell::new(view),
-            publisher: Mutex::new(TenantPublisher { shard_cells }),
+            publish_lock: Mutex::new(()),
         });
         self.by_key.insert(key, id);
         id
     }
 
-    /// Publishes the tenant's current histogram state, honoring the
-    /// `STH_SHARD_PUBLISH` gate. See [`Registry::publish_with`].
+    /// Publishes the tenant's current histogram state: freezes it, ticks
+    /// the composite clock and swaps the new view into the tenant's cell.
+    /// The freeze runs outside the tenant's lock; the tick and the swap
+    /// run under it, so a racing publisher cannot install an older
+    /// composite epoch after a newer one.
     pub fn publish(&self, id: TenantId, hist: &StHoles) -> PublishOutcome {
-        self.publish_with(id, hist, shard_publish_enabled())
-    }
-
-    /// Publishes the tenant's current histogram state. With `differential`
-    /// set, shards whose content is bit-identical to the published
-    /// snapshot are skipped (their cell — and epoch — untouched); without
-    /// it every shard republishes, the full-refreeze baseline the
-    /// `registry_route` bench compares against.
-    ///
-    /// One mutex per tenant serializes concurrent publishers, so shard
-    /// epochs and the assembly epoch always move together and monotonely.
-    pub fn publish_with(&self, id: TenantId, hist: &StHoles, differential: bool) -> PublishOutcome {
         let tenant = &self.tenants[id];
-        let (root, shards) = hist.freeze().shatter().into_parts();
-        let mut publisher =
-            tenant.publisher.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let shards_total = shards.len();
-        let mut shard_publishes = 0u64;
-        let mut shard_skips = 0u64;
-        for (k, shard) in shards.into_iter().enumerate() {
-            match publisher.shard_cells.get(k) {
-                Some(cell) => {
-                    if differential && cell.load().content_eq(&shard) {
-                        shard_skips += 1;
-                    } else {
-                        cell.publish(shard);
-                        shard_publishes += 1;
-                    }
-                }
-                None => {
-                    // A new root-level child appeared: a fresh cell.
-                    publisher.shard_cells.push(SnapshotCell::new(shard));
-                    shard_publishes += 1;
-                }
-            }
-        }
-        publisher.shard_cells.truncate(shards_total);
-        obs::add(obs::Counter::ShardPublishes, shard_publishes);
-        obs::add(obs::Counter::ShardPublishesSkipped, shard_skips);
-
-        let shard_epochs: Vec<u64> = publisher.shard_cells.iter().map(|c| c.epoch()).collect();
+        let frozen = hist.freeze();
+        let _order = tenant.publish_lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let composite_epoch = self.clock.tick();
-        let view = TenantView {
-            root,
-            shards: publisher.shard_cells.iter().map(|c| c.load()).collect(),
-            composite_epoch,
-        };
-        // Published while the publisher mutex is still held, so a second
-        // publisher cannot interleave an older assembly after a newer one.
-        let tenant_epoch = tenant.cell.publish(view);
-        PublishOutcome {
-            tenant_epoch,
-            composite_epoch,
-            shard_publishes,
-            shard_skips,
-            shards_total,
-            shard_epochs,
-        }
+        let tenant_epoch = tenant.cell.publish(TenantView { frozen, composite_epoch });
+        PublishOutcome { tenant_epoch, composite_epoch, shard_publishes: 1, shard_skips: 0 }
     }
 
     /// Number of registered tenants.
@@ -301,27 +198,20 @@ impl Registry {
         self.by_key.get(key).copied()
     }
 
-    /// Pins the tenant's current assembly.
+    /// Pins the tenant's current view.
     pub fn load(&self, id: TenantId) -> SnapshotGuard<TenantView> {
         self.tenants[id].cell.load()
     }
 
-    /// Pins the tenant's current assembly only if its epoch differs from
+    /// Pins the tenant's current view only if its epoch differs from
     /// `seen` (`seen = 0` always pins) — the engine's pin-cache refresh.
     pub fn load_if_newer(&self, id: TenantId, seen: u64) -> Option<SnapshotGuard<TenantView>> {
         self.tenants[id].cell.load_if_newer(seen)
     }
 
-    /// The tenant's current assembly epoch.
+    /// The tenant's current epoch.
     pub fn tenant_epoch(&self, id: TenantId) -> u64 {
         self.tenants[id].cell.epoch()
-    }
-
-    /// The tenant's current per-shard epochs, shard order.
-    pub fn shard_epochs(&self, id: TenantId) -> Vec<u64> {
-        let publisher =
-            self.tenants[id].publisher.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        publisher.shard_cells.iter().map(|c| c.epoch()).collect()
     }
 
     /// The registry-wide composite epoch (reading of the shared clock).
@@ -330,7 +220,7 @@ impl Registry {
     }
 
     /// Routes a mixed-tenant batch: splits by tenant, pins each tenant's
-    /// view once, answers each sub-batch through the composed batch path
+    /// view once, answers each sub-batch through the frozen batch path
     /// (kernel-sized sub-batches ride the lane kernel), and scatters the
     /// results back in input order. Clears then fills `out`.
     ///
@@ -355,7 +245,7 @@ impl Registry {
     }
 }
 
-/// The registry as an engine backend: one tenant per assembly cell, pins
+/// The registry as an engine backend: one tenant per cell, pins
 /// refreshed via [`Registry::load_if_newer`], routing marks counted per
 /// generated batch.
 struct RegistryBackend<'a> {
@@ -378,7 +268,7 @@ impl Backend for RegistryBackend<'_> {
     }
 }
 
-/// A pinned tenant assembly — newtype over the guard because the orphan
+/// A pinned tenant view — newtype over the guard because the orphan
 /// rule won't let this crate implement the foreign [`Pinned`] trait
 /// directly on the foreign [`SnapshotGuard`] wrapper.
 struct TenantPin(SnapshotGuard<TenantView>);
@@ -445,14 +335,8 @@ pub struct TenantServeReport {
     pub key: TenantKey,
     /// Publication rounds the trainer ran (excluding registration).
     pub publishes: u64,
-    /// Final assembly epoch (= 1 + publishes).
+    /// Final tenant epoch (= 1 + publishes).
     pub final_epoch: u64,
-    /// Shard cells republished across all rounds.
-    pub shard_publishes: u64,
-    /// Shard republishes skipped as bit-identical.
-    pub shard_skips: u64,
-    /// Per-shard epochs at the end of the run.
-    pub shard_epochs: Vec<u64>,
     /// Estimates answered for this tenant across all readers.
     pub answered: u64,
     /// Sub-batches routed to this tenant.
@@ -501,15 +385,13 @@ impl RegistryServeReport {
 #[derive(Default)]
 struct TrainerTotals {
     publishes: u64,
-    shard_publishes: u64,
-    shard_skips: u64,
     counters: obs::Snapshot,
 }
 
 /// Trainer-liveness drop guard: the last trainer worker to exit — by
 /// finishing *or by panicking* — raises the engine's done flag. Without
 /// the drop guarantee, a panicking trainer would leave the engine polling
-/// the last assemblies forever.
+/// the last views forever.
 struct TrainerLive<'a> {
     live: &'a AtomicU64,
     done: &'a AtomicBool,
@@ -536,7 +418,7 @@ impl Drop for TrainerLive<'_> {
 ///
 /// Serving: the per-tenant serve workloads are interleaved round-robin
 /// into one mixed stream and handed to the [`sth_serve`] engine — each
-/// generated batch is routed by tenant, answered from cached assembly
+/// generated batch is routed by tenant, answered from cached tenant
 /// pins (refreshed when the tenant epoch moves), and attributed to both
 /// the tenant epoch and the composite epoch.
 pub fn serve_registry(
@@ -597,7 +479,7 @@ pub fn serve_registry(
                     // Raise the done flag when the last worker exits —
                     // even on panic, so the engine never hangs.
                     let _live = TrainerLive { live: &trainers_live, done: &done };
-                    // Hold the epoch-1 assemblies until the engine is
+                    // Hold the epoch-1 views until the engine is
                     // live (same guarantee as `serve_concurrent`).
                     while readers_started.load(Ordering::Acquire) == 0 {
                         std::thread::yield_now();
@@ -626,11 +508,9 @@ pub fn serve_registry(
                                 }
                             }
                             cursors[slot] = end;
-                            let outcome = registry_ref.publish(*id, &rt.hist);
+                            registry_ref.publish(*id, &rt.hist);
                             let t = totals.entry(*id).or_default();
                             t.publishes += 1;
-                            t.shard_publishes += outcome.shard_publishes;
-                            t.shard_skips += outcome.shard_skips;
                             t.counters.merge(&obs::snapshot().delta(&obs_before));
                         }
                         if !progressed {
@@ -690,9 +570,6 @@ pub fn serve_registry(
             key: registry.key(id).clone(),
             publishes: t.publishes,
             final_epoch,
-            shard_publishes: t.shard_publishes,
-            shard_skips: t.shard_skips,
-            shard_epochs: registry.shard_epochs(id),
             answered,
             batches,
             trainer_counters: t.counters,
@@ -722,14 +599,6 @@ pub fn serve_registry(
                 ("readers", obs::FieldValue::Int(report.readers.len() as u64)),
                 ("composite_final", obs::FieldValue::Int(report.composite_final)),
                 ("answered", obs::FieldValue::Int(report.answered())),
-                (
-                    "shard_publishes",
-                    obs::FieldValue::Int(report.tenants.iter().map(|t| t.shard_publishes).sum()),
-                ),
-                (
-                    "shard_skips",
-                    obs::FieldValue::Int(report.tenants.iter().map(|t| t.shard_skips).sum()),
-                ),
                 ("obs", obs::FieldValue::Raw(&report.counters.to_json())),
                 ("timeline", obs::FieldValue::Raw(&report.composite_timeline.to_json())),
             ],
@@ -774,7 +643,6 @@ mod tests {
         assert_eq!(reg.id_of(&TenantKey::new("orders", vec![9])), None);
         assert_eq!(reg.key(a).to_string(), "orders[0,1]");
         assert_eq!(reg.tenant_epoch(a), 1);
-        assert!(reg.shard_epochs(a).iter().all(|&e| e == 1));
         assert_eq!(reg.composite_epoch(), 1);
     }
 
@@ -788,56 +656,220 @@ mod tests {
     }
 
     #[test]
-    fn clean_republish_skips_every_shard() {
-        let (hist, ..) = trained(13, 20);
+    fn publish_replaces_one_tenant_snapshot() {
+        let (mut hist, index, serve) = trained(13, 20);
         let mut reg = Registry::new();
         let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
-        let before = reg.shard_epochs(id);
-        assert!(!before.is_empty(), "trained histogram should have root children");
-        let outcome = reg.publish(id, &hist);
-        assert_eq!(outcome.shard_publishes, 0, "identical content must skip");
-        assert_eq!(outcome.shard_skips as usize, before.len());
-        assert_eq!(outcome.shard_epochs, before, "skipped shards keep their epochs");
-        assert_eq!(outcome.tenant_epoch, 2, "the assembly still republishes");
-        assert_eq!(outcome.composite_epoch, 2);
-    }
-
-    #[test]
-    fn single_region_refine_republishes_only_dirty_shards() {
-        let (mut hist, index, _) = trained(17, 30);
-        let mut reg = Registry::new();
-        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
-        let before = reg.shard_epochs(id);
-        assert!(before.len() >= 2, "need several root children, got {}", before.len());
-
-        // Refine repeatedly inside one small region: only the subtree(s)
-        // covering it can change.
-        let corner = Rect::from_bounds(&[1.0, 1.0], &[4.0, 4.0]);
-        for _ in 0..5 {
-            hist.refine(&corner, index.as_ref());
+        let other = reg.register(TenantKey::new("u", vec![0, 1]), &hist);
+        for q in serve.queries().iter().take(5) {
+            hist.refine(q.rect(), index.as_ref());
         }
         let outcome = reg.publish(id, &hist);
-        assert!(
-            outcome.shard_skips >= 1,
-            "a localized refine must leave some shard untouched: {outcome:?}"
-        );
-        let after = reg.shard_epochs(id);
-        let kept = before
-            .iter()
-            .zip(&after)
-            .filter(|(b, a)| a == b)
-            .count();
-        assert!(kept >= 1, "some shard epoch must survive: {before:?} -> {after:?}");
+        let expected = PublishOutcome {
+            tenant_epoch: 2,
+            composite_epoch: 2,
+            shard_publishes: 1,
+            shard_skips: 0,
+        };
+        assert_eq!(outcome, expected);
+        assert_eq!(reg.tenant_epoch(other), 1, "publishing one tenant moved another");
+        let (view, frozen) = (reg.load(id), hist.freeze());
+        assert_eq!(view.composite_epoch(), 2);
+        view.check_invariants().unwrap();
+        for q in serve.queries() {
+            assert_eq!(view.estimate(q.rect()).to_bits(), frozen.estimate(q.rect()).to_bits());
+        }
     }
 
     #[test]
-    fn full_refreeze_mode_republishes_everything() {
-        let (hist, ..) = trained(19, 20);
+    fn clean_republish_installs_a_new_snapshot() {
+        let (hist, _, serve) = trained(29, 20);
         let mut reg = Registry::new();
         let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
-        let outcome = reg.publish_with(id, &hist, false);
-        assert_eq!(outcome.shard_skips, 0);
-        assert_eq!(outcome.shard_publishes as usize, outcome.shards_total);
+        let before = reg.load(id);
+        // No content diff is taken: republishing an unchanged histogram
+        // ticks both epochs and swaps in a fresh view with equal answers.
+        let outcome = reg.publish(id, &hist);
+        let expected = PublishOutcome {
+            tenant_epoch: 2,
+            composite_epoch: 2,
+            shard_publishes: 1,
+            shard_skips: 0,
+        };
+        assert_eq!(outcome, expected);
+        let after = reg.load(id);
+        assert!(!std::ptr::eq(&*before, &*after), "publish kept the old view");
+        assert_eq!((after.epoch(), after.composite_epoch()), (2, 2));
+        for q in serve.queries() {
+            assert_eq!(after.estimate(q.rect()).to_bits(), before.estimate(q.rect()).to_bits());
+        }
+    }
+
+    #[test]
+    fn root_only_tenant_answers_like_its_freeze() {
+        let (hist, _, serve, _) = tenant_fixture(31);
+        assert_eq!(hist.bucket_count(), 0, "fixture is not root-only");
+        let mut reg = Registry::new();
+        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
+        let (view, frozen) = (reg.load(id), hist.freeze());
+        view.check_invariants().unwrap();
+        let outside = Rect::from_bounds(&[1e6, 1e6], &[2e6, 2e6]);
+        for q in serve.queries().iter().map(|q| q.rect()).chain([&outside]) {
+            assert_eq!(view.estimate(q).to_bits(), frozen.estimate(q).to_bits());
+        }
+        assert_eq!(view.estimate(&outside), 0.0);
+    }
+
+    #[test]
+    fn view_batch_path_is_bit_identical_and_clears_out() {
+        let (hist, _, serve) = trained(59, 30);
+        let mut reg = Registry::new();
+        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
+        let (view, frozen) = (reg.load(id), hist.freeze());
+        let queries: Vec<Rect> = serve.queries().iter().map(|q| q.rect().clone()).collect();
+        let mut out = vec![f64::NAN; 3]; // stale garbage: must clear
+        view.estimate_batch(&queries, &mut out);
+        let mut expected = Vec::new();
+        frozen.estimate_batch(&queries, &mut expected);
+        assert_eq!(out.len(), queries.len());
+        for (j, q) in queries.iter().enumerate() {
+            assert_eq!(out[j].to_bits(), expected[j].to_bits(), "query {j} batch drifted");
+            assert_eq!(out[j].to_bits(), view.estimate(q).to_bits(), "query {j} scalar drifted");
+        }
+    }
+
+    #[test]
+    fn pinned_view_survives_a_republish() {
+        let (mut hist, index, serve) = trained(17, 15);
+        let mut reg = Registry::new();
+        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
+        let (pinned, before) = (reg.load(id), hist.freeze());
+        for q in serve.queries().iter().take(10) {
+            hist.refine(q.rect(), index.as_ref());
+        }
+        reg.publish(id, &hist);
+        let (fresh, after) = (reg.load(id), hist.freeze());
+        // The old guard keeps answering from the view it pinned; a new
+        // load sees the republished one.
+        assert_eq!((pinned.epoch(), pinned.composite_epoch()), (1, 1));
+        assert_eq!((fresh.epoch(), fresh.composite_epoch()), (2, 2));
+        let mut moved = 0;
+        for q in serve.queries().iter().map(|q| q.rect()) {
+            assert_eq!(pinned.estimate(q).to_bits(), before.estimate(q).to_bits());
+            assert_eq!(fresh.estimate(q).to_bits(), after.estimate(q).to_bits());
+            moved += usize::from(before.estimate(q).to_bits() != after.estimate(q).to_bits());
+        }
+        assert!(moved > 0, "refinement moved no estimate, so nothing was tested");
+    }
+
+    #[test]
+    fn composite_clock_orders_publishes_across_tenants() {
+        let (hist, ..) = trained(37, 10);
+        let mut reg = Registry::new();
+        let ids: Vec<TenantId> =
+            (0..3u32).map(|t| reg.register(TenantKey::new("t", vec![t]), &hist)).collect();
+        let order = [0, 1, 0, 2, 2, 0];
+        let mut tenant_epochs = [1u64; 3];
+        for (k, &t) in order.iter().enumerate() {
+            let out = reg.publish(ids[t], &hist);
+            tenant_epochs[t] += 1;
+            assert_eq!(out.composite_epoch, 2 + k as u64, "one tick per publish, in call order");
+            assert_eq!(out.tenant_epoch, tenant_epochs[t], "tenant {t} counted another's publish");
+            assert_eq!(reg.load(ids[t]).composite_epoch(), out.composite_epoch);
+        }
+        assert_eq!(reg.composite_epoch(), 1 + order.len() as u64);
+        let latest: Vec<u64> = ids.iter().map(|&id| reg.load(id).composite_epoch()).collect();
+        assert_eq!(latest, [7, 3, 6], "each view carries its own latest tick");
+        let epochs: Vec<u64> = ids.iter().map(|&id| reg.tenant_epoch(id)).collect();
+        assert_eq!(epochs, [4, 2, 3]);
+    }
+
+    #[test]
+    fn late_registration_starts_at_the_current_composite_epoch() {
+        let (hist, ..) = trained(43, 10);
+        let mut reg = Registry::new();
+        let a = reg.register(TenantKey::new("a", vec![0, 1]), &hist);
+        reg.publish(a, &hist);
+        reg.publish(a, &hist);
+        // Registering does not tick the clock: the newcomer's view is
+        // stamped with the current reading, its own epoch starts at 1.
+        let b = reg.register(TenantKey::new("b", vec![0, 1]), &hist);
+        assert_eq!(reg.composite_epoch(), 3);
+        assert_eq!(reg.tenant_epoch(b), 1);
+        assert_eq!(reg.load(b).composite_epoch(), 3);
+        let out = reg.publish(b, &hist);
+        assert_eq!((out.tenant_epoch, out.composite_epoch), (2, 4));
+        assert_eq!(reg.tenant_epoch(a), 3);
+    }
+
+    #[test]
+    fn load_if_newer_pins_only_after_a_publish() {
+        let (mut hist, index, serve) = trained(47, 10);
+        let mut reg = Registry::new();
+        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
+        let first = reg.load_if_newer(id, 0).expect("seen = 0 always pins");
+        assert_eq!(first.epoch(), 1);
+        assert!(reg.load_if_newer(id, first.epoch()).is_none(), "a current pin was refreshed");
+        hist.refine(serve.queries()[0].rect(), index.as_ref());
+        reg.publish(id, &hist);
+        let second = reg.load_if_newer(id, first.epoch()).expect("a publish must refresh the pin");
+        assert_eq!((second.epoch(), second.composite_epoch()), (2, 2));
+        assert!(reg.load_if_newer(id, second.epoch()).is_none());
+    }
+
+    #[test]
+    fn publish_recovers_from_a_poisoned_lock() {
+        let (hist, ..) = trained(19, 10);
+        let mut reg = Registry::new();
+        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = reg.tenants[id].publish_lock.lock().unwrap();
+                panic!("publisher died holding the publish lock");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(reg.tenants[id].publish_lock.is_poisoned());
+        // The lock guards no data, so later publishes go through.
+        let outcome = reg.publish(id, &hist);
+        assert_eq!((outcome.tenant_epoch, outcome.composite_epoch), (2, 2));
+        assert_eq!(reg.load(id).composite_epoch(), 2);
+    }
+
+    #[test]
+    fn backend_repins_only_republished_tenants() {
+        let (hist, _, serve) = trained(53, 12);
+        let mut reg = Registry::new();
+        let a = reg.register(TenantKey::new("a", vec![0, 1]), &hist);
+        let b = reg.register(TenantKey::new("b", vec![0, 1]), &hist);
+        let backend = RegistryBackend { registry: &reg };
+        assert_eq!(backend.tenant_count(), 2);
+        let (pa, pb) = (backend.repin(a, 0).unwrap(), backend.repin(b, 0).unwrap());
+        reg.publish(a, &hist);
+        let pa2 = backend.repin(a, pa.epoch()).expect("republished tenant must repin");
+        assert_eq!((pa2.epoch(), pa2.composite_epoch()), (2, 2));
+        assert!(backend.repin(b, pb.epoch()).is_none(), "untouched tenant repinned");
+        pa2.check_invariants().unwrap();
+        let queries: Vec<Rect> = serve.queries().iter().map(|q| q.rect().clone()).collect();
+        let mut via_pin = vec![f64::NAN; 3];
+        pa2.estimate_batch(&queries, &mut via_pin);
+        let mut direct = Vec::new();
+        reg.load(a).estimate_batch(&queries, &mut direct);
+        assert_eq!(via_pin.len(), queries.len());
+        for (j, (x, y)) in via_pin.iter().zip(&direct).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "query {j} drifted through the pin");
+        }
+    }
+
+    #[test]
+    fn routing_an_empty_batch_clears_out() {
+        let (hist, ..) = trained(61, 5);
+        let mut reg = Registry::new();
+        reg.register(TenantKey::new("t", vec![0, 1]), &hist);
+        let mut out = vec![1.0; 4]; // stale garbage: must clear
+        reg.estimate_batch_routed(&[], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Coalescing transparency for the serving engine: whatever the
 //! coalescing cap groups into one `estimate_batch` call must answer
 //! bit-identically to estimating each query alone against the same
-//! pinned snapshot. The strategy range includes `coalesce = 1` (the
-//! `STH_SERVE_ENGINE=0` fallback), so the property also pins the
-//! engine-off path to the direct answers.
+//! pinned snapshot. The strategy range includes `coalesce = 1` (one
+//! request per service), so the property also pins the uncoalesced path
+//! to the direct answers.
 
 use sth_geometry::Rect;
 use sth_platform::check::prelude::*;

@@ -8,10 +8,14 @@
 //!   test; randomizing the bucket budget and workload length guards the
 //!   margin against parameter luck.
 //! * Registry routing is invisible: a mixed-tenant batch split by
-//!   [`sth_eval::route_batch`] and answered shard-composed is
-//!   bit-identical to asking each tenant's pinned view directly.
-//! * Per-shard, per-tenant and composite epochs stay monotone under
-//!   concurrent republication from racing publisher threads.
+//!   [`sth_eval::route_batch`] is bit-identical to asking each tenant's
+//!   pinned view directly.
+//! * Tenant and composite epochs stay monotone under concurrent
+//!   republication from racing publisher threads, and each tenant's
+//!   final view carries the composite epoch of its latest publish.
+//! * A republished tenant view answers bit-identically to freezing its
+//!   trainer, scalar and batch, and publishing one tenant leaves the
+//!   others' views alone.
 
 use sth_platform::check::prelude::*;
 
@@ -22,7 +26,7 @@ use sth_eval::{
 use sth_geometry::Rect;
 use sth_histogram::StHoles;
 use sth_index::KdCountTree;
-use sth_query::{SelfTuning, WorkloadSpec};
+use sth_query::{CardinalityEstimator, SelfTuning, WorkloadSpec};
 
 /// A tenant trained with `queries` refines of its own seeded workload,
 /// plus the remaining workload rects for serving/further refinement.
@@ -126,14 +130,69 @@ check! {
     }
 
     #[test]
+    fn tenant_views_match_the_trainer_freeze_after_every_publish(
+        train in 0usize..20,
+        rounds in 1usize..5,
+        step in 1usize..8,
+    ) {
+        // One tenant refined and republished `rounds` times, `step`
+        // queries apart, next to an idle one: after every publish the
+        // hot tenant's view answers bit-identically to freezing its
+        // trainer on both the scalar and the batch path, and the idle
+        // tenant still serves the view it was registered with.
+        let (mut hist, index, rest) = trained_tenant(71, train);
+        let (idle, ..) = trained_tenant(73, 10);
+        let mut reg = Registry::new();
+        let hot = reg.register(TenantKey::new("hot", vec![0, 1]), &hist);
+        let other = reg.register(TenantKey::new("idle", vec![0, 1]), &idle);
+        let idle_frozen = idle.freeze();
+        let probes: Vec<Rect> = rest.iter().rev().take(40).cloned().collect();
+        let mut feed = rest.iter();
+        for round in 0..rounds {
+            for q in feed.by_ref().take(step) {
+                hist.refine(q, &index);
+            }
+            let out = reg.publish(hot, &hist);
+            prop_assert_eq!(out.tenant_epoch, 2 + round as u64);
+            let (view, frozen) = (reg.load(hot), hist.freeze());
+            prop_assert_eq!(view.composite_epoch(), out.composite_epoch);
+            let mut batch = vec![f64::NAN; 2]; // stale garbage: must clear
+            view.estimate_batch(&probes, &mut batch);
+            prop_assert_eq!(batch.len(), probes.len());
+            let idle_view = reg.load(other);
+            prop_assert_eq!(idle_view.composite_epoch(), 1);
+            for (j, p) in probes.iter().enumerate() {
+                let want = frozen.estimate(p).to_bits();
+                prop_assert_eq!(
+                    view.estimate(p).to_bits(),
+                    want,
+                    "round {} probe {} scalar",
+                    round,
+                    j
+                );
+                prop_assert_eq!(batch[j].to_bits(), want, "round {} probe {} batch", round, j);
+                prop_assert_eq!(
+                    idle_view.estimate(p).to_bits(),
+                    idle_frozen.estimate(p).to_bits(),
+                    "idle tenant moved at round {} probe {}",
+                    round,
+                    j
+                );
+            }
+        }
+        prop_assert_eq!(reg.tenant_epoch(other), 1);
+    }
+
+    #[test]
     fn epochs_stay_monotone_under_concurrent_republish(
         publishers in 2usize..4,
         rounds in 2usize..4,
     ) {
-        // Racing publisher threads on two shared tenants: every epoch
-        // axis (per-shard, per-tenant assembly, registry composite) must
-        // be non-decreasing within each thread's serialized view, and
-        // the final counts must account for every publish exactly.
+        // Racing publisher threads on two shared tenants: both epoch
+        // axes (per-tenant, registry composite) must increase within
+        // each thread's serialized view, the final counts must account
+        // for every publish exactly, and each tenant's cell must end on
+        // the view of its latest composite tick.
         let mut reg = Registry::new();
         for t in 0..2u64 {
             let (hist, ..) = trained_tenant(41 + t, 8);
@@ -159,7 +218,6 @@ check! {
                         let index = &index;
                         let mut last_tenant = 0u64;
                         let mut last_composite = 0u64;
-                        let mut last_shards: Vec<u64> = Vec::new();
                         for r in 0..rounds {
                             hist.refine(&rest[(p + r * publishers) % rest.len()], index);
                             let out = reg.publish(id, &hist);
@@ -172,26 +230,36 @@ check! {
                                 out.composite_epoch > last_composite,
                                 "composite epoch regressed"
                             );
-                            for (k, &e) in out.shard_epochs.iter().enumerate() {
-                                if let Some(&prev) = last_shards.get(k) {
-                                    assert!(e >= prev, "shard {k} epoch regressed: {e} < {prev}");
-                                }
-                            }
                             last_tenant = out.tenant_epoch;
                             last_composite = out.composite_epoch;
-                            last_shards = out.shard_epochs;
                         }
-                        rounds as u64
+                        (id, rounds as u64, last_composite)
                     })
                 })
                 .collect();
-            let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-            // Every publish bumped exactly one tenant assembly epoch and
+            // Composite epoch 1 is registration, before any publish.
+            let mut newest = [1u64; 2];
+            let mut total = 0u64;
+            for h in handles {
+                let (id, published, last_composite) = h.join().unwrap();
+                total += published;
+                newest[id] = newest[id].max(last_composite);
+            }
+            // Every publish bumped exactly one tenant epoch and
             // one composite tick; nothing was lost to the races.
             let per_tenant: u64 =
                 (0..2).map(|id| reg.tenant_epoch(id) - 1).sum();
             assert_eq!(per_tenant, total, "publishes lost or double-counted");
             assert_eq!(reg.composite_epoch(), 1 + total);
+            // The per-tenant publish lock orders the tick with the swap,
+            // so no older view can land after a newer one.
+            for (id, &want) in newest.iter().enumerate() {
+                assert_eq!(
+                    reg.load(id).composite_epoch(),
+                    want,
+                    "tenant {id} ended on a stale view"
+                );
+            }
         });
     }
 }

@@ -21,9 +21,6 @@ fn serve_env_gates_flow_into_the_engine() {
     assert_eq!(cfg.coalesce, 1, "STH_SERVE_COALESCE floors at 1");
 
     std::env::remove_var("STH_SERVE_COALESCE");
-    std::env::set_var("STH_SERVE_ENGINE", "0");
-    assert_eq!(EngineConfig::from_env().coalesce, 1, "kill switch disables coalescing");
-    std::env::remove_var("STH_SERVE_ENGINE");
 
     std::env::set_var("STH_SERVE_DEADLINE_US", "0");
     assert_eq!(EngineConfig::from_env().deadline, None, "0 disables the deadline");

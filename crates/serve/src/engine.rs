@@ -158,8 +158,7 @@ pub struct EngineConfig {
     /// [`par::worker_count`] for the open loop.
     pub threads: usize,
     /// Maximum queries per coalesced service. 1 disables coalescing
-    /// (every request is served alone — the `STH_SERVE_ENGINE=0`
-    /// fallback behavior).
+    /// (every request is served alone).
     pub coalesce: usize,
     /// Queue-wait deadline: requests that waited longer are shed whole.
     /// `None` disables admission control (nothing is ever shed).
@@ -174,11 +173,9 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Reads the engine gates from the environment:
-    /// `STH_SERVE_THREADS` (0 = auto), `STH_SERVE_COALESCE` (floor 1),
-    /// `STH_SERVE_DEADLINE_US` (0 or unset = disabled), and
-    /// `STH_SERVE_ENGINE=0` as a coalescing kill switch (requests are
-    /// then served one per `estimate_batch` call, the pre-engine
-    /// behavior).
+    /// `STH_SERVE_THREADS` (0 = auto), `STH_SERVE_COALESCE` (floor 1;
+    /// 1 serves every request in its own `estimate_batch` call) and
+    /// `STH_SERVE_DEADLINE_US` (0 or unset = disabled).
     pub fn from_env() -> Self {
         let mut cfg = Self::default();
         if let Ok(v) = std::env::var("STH_SERVE_THREADS") {
@@ -195,9 +192,6 @@ impl EngineConfig {
             if let Ok(us) = v.parse::<u64>() {
                 cfg.deadline = if us > 0 { Some(Duration::from_micros(us)) } else { None };
             }
-        }
-        if std::env::var("STH_SERVE_ENGINE").is_ok_and(|v| v == "0") {
-            cfg.coalesce = 1;
         }
         cfg
     }

@@ -1,7 +1,6 @@
-//! Acceptance demo for the multi-tenant registry with sharded
-//! publication: many tables/subspaces served concurrently out of one
-//! process, each publishing per-subtree shards so a localized refinement
-//! republishes only the shard it dirtied.
+//! Acceptance demo for the multi-tenant registry: many tables/subspaces
+//! served concurrently out of one process, each tenant published as one
+//! frozen snapshot.
 //!
 //! `STH_TENANTS` (default 8) tenants — each with its own dataset, kd-tree
 //! execution engine, and training/serving workloads — are registered in a
@@ -14,14 +13,15 @@
 //!
 //! * every tenant is trained and served: per-tenant publishes, routed
 //!   sub-batches, and answered estimates are all non-zero, and each
-//!   tenant's assembly epoch equals 1 + its publishes;
-//! * the registry's composite epoch accounts for every publication round
-//!   across all tenants exactly;
+//!   tenant's epoch equals 1 + its publishes;
+//! * the registry's composite epoch, and the `snapshot_publishes`
+//!   counter, account for every publish across all tenants exactly;
 //! * mixed-tenant batches routed through the registry are bit-identical
-//!   to asking each tenant's pinned shard-composed view directly;
-//! * a refinement localized to one region of a tenant's domain
-//!   republishes only the affected shard cells — the other shards' epochs
-//!   do not move (differential publication, `STH_SHARD_PUBLISH`);
+//!   to asking each tenant's pinned view directly;
+//! * publishing one tenant of a fresh two-tenant registry moves that
+//!   tenant's epoch by exactly one, leaves the other tenant's epoch
+//!   alone, and installs a view that answers bit-identically to freezing
+//!   the trainer's histogram;
 //! * per-tenant timelines attribute every routed sub-batch to a tenant
 //!   epoch, and the aggregate obs rollup carries the registry counters.
 //!
@@ -80,10 +80,8 @@ fn main() {
     );
     for t in &report.tenants {
         println!(
-            "  {}: {} publishes (epoch {}), shards {} republished / {} skipped, \
-             {} answered in {} sub-batches",
-            t.key, t.publishes, t.final_epoch, t.shard_publishes, t.shard_skips, t.answered,
-            t.batches
+            "  {}: {} publishes (epoch {}), {} answered in {} sub-batches",
+            t.key, t.publishes, t.final_epoch, t.answered, t.batches
         );
     }
 
@@ -115,7 +113,11 @@ fn main() {
         report.counters.get(obs::Counter::RegistryRoutes),
         mixed_batches
     );
-    assert!(report.counters.get(obs::Counter::ShardPublishes) >= 1);
+    assert_eq!(
+        report.counters.get(obs::Counter::SnapshotPublishes),
+        total_publishes,
+        "every publish must swap exactly one snapshot"
+    );
 
     // -- Acceptance: routing is invisible, bit for bit ------------------
     // A mixed batch interleaving every tenant, answered through the
@@ -139,11 +141,11 @@ fn main() {
     }
     println!("mixed-tenant routing bit-identical on {} probes", mixed.len());
 
-    // -- Acceptance: localized refinement republishes one shard ---------
-    // A fresh tenant, trained broadly, then refined on one localized
-    // query: the differential publish may touch the dirty shard (and the
-    // thin root) but must skip — and leave the epochs of — the shards
-    // the refinement never reached.
+    // -- Acceptance: a publish replaces exactly one tenant's snapshot ----
+    // A fresh two-tenant registry: refining and publishing one tenant
+    // moves its epoch by exactly one, leaves the other tenant's epoch
+    // where it was, and installs a view that answers every probe
+    // bit-identically to freezing the trainer's histogram.
     let data = sth::data::cross::CrossSpec::cross2d().scaled(0.02).generate();
     let index = KdCountTree::build(&data);
     let mut hist = build_uninitialized(&data, 48);
@@ -153,30 +155,24 @@ fn main() {
     }
     let mut local = Registry::new();
     let id = local.register(TenantKey::new("orders", vec![0, 1]), &hist);
-    let before = local.shard_epochs(id);
-    // An unseen localized query (1% of the domain volume): refining it
-    // dirties the subtree(s) it lands in and nothing else.
+    let other = local.register(TenantKey::new("orders", vec![0, 2]), &hist);
+    let (before, other_before) = (local.tenant_epoch(id), local.tenant_epoch(other));
     for q in wl.queries().iter().skip(60).take(1) {
         hist.refine(q.rect(), &index);
     }
-    let outcome = local.publish(id, &hist);
-    let after = local.shard_epochs(id);
-    assert!(
-        outcome.shard_publishes >= 1,
-        "localized refinement dirtied nothing: {outcome:?}"
-    );
-    assert!(
-        outcome.shard_skips >= 1,
-        "localized refinement republished every shard: {outcome:?}"
-    );
-    let surviving = before.iter().zip(&after).filter(|(b, a)| b == a).count();
-    assert!(
-        surviving >= 1,
-        "no shard epoch survived the localized publish: {before:?} -> {after:?}"
-    );
+    local.publish(id, &hist);
+    assert_eq!(local.tenant_epoch(id), before + 1, "the published tenant's epoch");
+    assert_eq!(local.tenant_epoch(other), other_before, "publishing one tenant moved another");
+    let (view, frozen) = (local.load(id), hist.freeze());
+    for (j, q) in wl.queries().iter().enumerate() {
+        let (got, want) = (view.estimate(q.rect()), frozen.estimate(q.rect()));
+        assert_eq!(got.to_bits(), want.to_bits(), "probe {j}: view {got} != freeze {want}");
+    }
     println!(
-        "localized refine: {} of {} shards republished, {} skipped ({} epochs untouched)",
-        outcome.shard_publishes, outcome.shards_total, outcome.shard_skips, surviving
+        "publish: tenant epoch {before} -> {}, other tenant stays at {other_before}, \
+         {} probes bit-identical to the trainer's freeze",
+        local.tenant_epoch(id),
+        wl.len()
     );
 
     obs::force_audit(false);

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 # Tests that must run and pass; raise it when adding tests, so coverage
 # cannot shrink silently (e.g. a root-only `cargo test`).
-TEST_FLOOR=448
+TEST_FLOOR=450
 
 test_log="$(mktemp -t sth_verify_tests.XXXXXX.log)"
 trace_log="$(mktemp -t sth_verify_trace.XXXXXX.jsonl)"
@@ -44,11 +44,12 @@ STH_AUDIT=1 cargo run -q --release --offline --example serving > /dev/null
 echo "verify: serving example OK"
 
 # Registry acceptance: 8 tenants (tables/subspaces) registered, trained
-# and served concurrently out of one registry with sharded publication.
-# The example asserts mixed-tenant routing is bit-identical to per-tenant
-# estimation, that a localized refinement republishes only the shard it
-# dirtied (per-shard epoch counters), and that per-tenant timelines and
-# the composite epoch account for every publication round exactly.
+# and served concurrently out of one registry, each tenant published as
+# one frozen snapshot. The example asserts mixed-tenant routing is
+# bit-identical to per-tenant estimation, that per-tenant timelines, the
+# composite epoch and the snapshot_publishes counter account for every
+# publish exactly, and that publishing one tenant moves only its own
+# epoch, by one, and answers bit-identically to the trainer's freeze.
 STH_AUDIT=1 cargo run -q --release --offline --example registry > /dev/null
 echo "verify: registry example OK"
 
