@@ -10,7 +10,7 @@ use std::time::Duration;
 use sth_platform::bench::{black_box, Bench};
 use sth_bench::cross_fixture;
 use sth_core::build_uninitialized;
-use sth_eval::{serve_concurrent, ServeConfig};
+use sth_eval::{serve_training, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth_geometry::Rect;
 use sth_index::{RangeCounter, ResultSetCounter, ScanCounter};
 use sth_query::{CardinalityEstimator, Estimator, SelfTuning, WorkloadSpec};
@@ -117,8 +117,9 @@ fn bench_batch_kernel(c: &mut Bench) {
 }
 
 fn bench_serve_concurrent(c: &mut Bench) {
-    // One full train-while-serving run: trainer refines + republishes,
-    // scope_map readers answer batches from pinned snapshots.
+    // One full train-while-serving run of a single volatile tenant: the
+    // trainer refines + republishes into a one-tenant registry while the
+    // engine's reader streams answer batches from pinned views.
     let prep = cross_fixture();
     let wl = WorkloadSpec { count: 160, ..WorkloadSpec::paper(0.01, 11) }
         .generate(prep.data.domain(), None);
@@ -129,10 +130,18 @@ fn bench_serve_concurrent(c: &mut Bench) {
     g.sample_size(10);
     for readers in [2usize, 4] {
         g.bench_function(format!("readers_{readers}"), |b| {
-            let cfg = ServeConfig { readers, batch: 16, republish_every: 24 };
+            let cfg = ServeConfig { readers, batch: 16, republish_every: 24, trainer_workers: 1 };
             b.iter(|| {
                 let mut h = build_uninitialized(&prep.data, 50);
-                let report = serve_concurrent(&mut h, &train, &serve, &*prep.index, &cfg);
+                let tenant = TenantRuntime {
+                    key: TenantKey::new("cross", vec![0, 1]),
+                    trainer: Trainer::Volatile(&mut h),
+                    train: &train,
+                    serve: &serve,
+                    counter: &*prep.index,
+                };
+                let report =
+                    serve_training(&mut Registry::new(), vec![tenant], &cfg).expect("no store");
                 black_box(report.answered())
             });
         });
@@ -185,7 +194,6 @@ fn bench_registry_route(c: &mut Bench) {
     // from one pinned tenant view (what routing costs on top of
     // estimation); the publish row freezes one tenant and swaps the
     // snapshot into its cell.
-    use sth_eval::{Registry, TenantKey};
     let tenants = 4usize;
     let mut reg = Registry::new();
     let mut hists = Vec::with_capacity(tenants);

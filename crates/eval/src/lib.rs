@@ -15,7 +15,6 @@
 pub mod experiments;
 mod loadgen;
 mod metrics;
-mod registry;
 mod runner;
 mod serve;
 mod spec;
@@ -25,18 +24,16 @@ pub use loadgen::{render_load_table, run_load_point, sweep_load, LoadGenConfig, 
 pub use metrics::{
     average_nae, evaluate_self_tuning, evaluate_static, normalized_absolute_error, EmptyWorkload,
 };
-pub use registry::{
-    serve_registry, PublishOutcome, Registry, RegistryServeConfig, RegistryServeReport, TenantKey,
-    TenantRuntime, TenantServeReport, TenantView,
-};
 pub use runner::{run_simulation, sweep, RunConfig, RunOutcome, RunProvenance, Variant};
 pub use serve::{
-    freeze_for_serving, serve_concurrent, serve_durable, DurableServeReport, ServeConfig,
-    ServeReport,
+    serve_training, ServeConfig, ServeReport, TenantRuntime, TenantServeReport, Trainer,
 };
-// The serving engine and its attribution types moved to `sth-serve`; the
-// eval reports keep exposing them under the old paths.
-pub use sth_serve::{route_batch, EpochRow, EpochTimeline, ReaderStats, TenantId};
+// The registry, the serving engine and their attribution types live in
+// `sth-serve`; the serve reports keep exposing them under these paths.
+pub use sth_serve::{
+    route_batch, EpochRow, EpochTimeline, PublishOutcome, ReaderStats, Registry, TenantId,
+    TenantKey, TenantView,
+};
 pub use spec::{DatasetSpec, ExperimentCtx, PreparedDataset};
 pub use table::Table;
 

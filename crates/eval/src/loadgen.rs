@@ -215,4 +215,41 @@ mod tests {
         assert_eq!(table.lines().count(), 2);
         assert!(table.contains("goodput_qps"));
     }
+
+    fn point(offered: u64, answered: u64, shed: u64, wall: Duration) -> LoadPoint {
+        LoadPoint {
+            offered_per_sec: 1_000.0,
+            offered,
+            answered,
+            shed,
+            wall,
+            latency: ValueHist::new(),
+            stats: EngineStats::default(),
+        }
+    }
+
+    #[test]
+    fn rates_are_per_wall_second_and_zero_when_idle() {
+        let busy = point(400, 300, 100, Duration::from_millis(500));
+        assert_eq!(busy.goodput_per_sec(), 600.0);
+        assert_eq!(busy.shed_rate(), 0.25);
+        // No wall time and no offers divide by nothing: both read 0.
+        let idle = point(0, 0, 0, Duration::ZERO);
+        assert_eq!((idle.goodput_per_sec(), idle.shed_rate()), (0.0, 0.0));
+    }
+
+    #[test]
+    fn load_table_has_one_row_per_point_in_order() {
+        let points = [
+            point(400, 300, 100, Duration::from_millis(500)),
+            point(0, 0, 0, Duration::ZERO),
+        ];
+        let table = render_load_table(&points);
+        let rows: Vec<Vec<&str>> =
+            table.lines().skip(1).map(|l| l.split_whitespace().collect()).collect();
+        // Without latency samples the quantile columns read 0.
+        assert_eq!(rows[0], ["1000", "400", "300", "100", "0", "0", "25.00", "600"]);
+        assert_eq!(rows[1], ["1000", "0", "0", "0", "0", "0", "0.00", "0"]);
+        assert_eq!(rows.len(), 2);
+    }
 }

@@ -26,7 +26,6 @@ fn trained_frozen() -> (sth_histogram::FrozenHistogram, sth_histogram::FrozenHis
 check! {
     cases = 4;
 
-    #[test]
     fn coalesced_batches_are_bit_identical_to_individual_answers(
         request_len in 1usize..7,
         coalesce in 1usize..129,

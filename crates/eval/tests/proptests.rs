@@ -56,7 +56,6 @@ fn tiny_ctx() -> ExperimentCtx {
 check! {
     cases = 4;
 
-    #[test]
     fn freeze_is_no_better_on_average(
         buckets in 12usize..25,
         sim in 45usize..70,
@@ -90,7 +89,6 @@ check! {
         );
     }
 
-    #[test]
     fn routed_mixed_batches_are_bit_identical_to_direct_views(
         train_a in 5usize..25,
         train_b in 5usize..25,
@@ -129,7 +127,6 @@ check! {
         }
     }
 
-    #[test]
     fn tenant_views_match_the_trainer_freeze_after_every_publish(
         train in 0usize..20,
         rounds in 1usize..5,
@@ -183,7 +180,6 @@ check! {
         prop_assert_eq!(reg.tenant_epoch(other), 1);
     }
 
-    #[test]
     fn epochs_stay_monotone_under_concurrent_republish(
         publishers in 2usize..4,
         rounds in 2usize..4,

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use sth_eval::{serve_concurrent, ServeConfig};
+use sth_eval::{serve_training, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth_serve::EngineConfig;
 
 #[test]
@@ -35,8 +35,15 @@ fn serve_env_gates_flow_into_the_engine() {
     let wl = sth_query::WorkloadSpec::paper(0.01, 97).generate(data.domain(), None);
     let (train, serve) = wl.split_train(wl.len() / 2);
     let mut hist = sth_core::build_uninitialized(&data, 64);
-    let cfg = ServeConfig { readers: 4, batch: 16, republish_every: 10 };
-    let report = serve_concurrent(&mut hist, &train, &serve, &index, &cfg);
+    let tenant = TenantRuntime {
+        key: TenantKey::new("t", vec![0, 1]),
+        trainer: Trainer::Volatile(&mut hist),
+        train: &train,
+        serve: &serve,
+        counter: &index,
+    };
+    let cfg = ServeConfig { readers: 4, batch: 16, republish_every: 10, trainer_workers: 1 };
+    let report = serve_training(&mut Registry::new(), vec![tenant], &cfg).expect("no store");
     std::env::remove_var("STH_SERVE_DEADLINE_US");
 
     // The closed-loop streams wrap their workload until the trainer is

@@ -14,13 +14,11 @@ fn rect_strategy(dim: usize) -> impl Strategy<Value = Rect> {
 }
 
 check! {
-    #[test]
     fn intersection_is_commutative(a in rect_strategy(3), b in rect_strategy(3)) {
         prop_assert_eq!(a.intersection(&b), b.intersection(&a));
         prop_assert!((a.overlap_volume(&b) - b.overlap_volume(&a)).abs() < 1e-9);
     }
 
-    #[test]
     fn intersection_contained_in_both(a in rect_strategy(3), b in rect_strategy(3)) {
         if let Some(i) = a.intersection(&b) {
             prop_assert!(a.contains_rect(&i));
@@ -30,13 +28,11 @@ check! {
         }
     }
 
-    #[test]
     fn overlap_volume_matches_intersection(a in rect_strategy(2), b in rect_strategy(2)) {
         let via_rect = a.intersection(&b).map_or(0.0, |i| i.volume());
         prop_assert!((via_rect - a.overlap_volume(&b)).abs() < 1e-6);
     }
 
-    #[test]
     fn hull_contains_both(a in rect_strategy(4), b in rect_strategy(4)) {
         let h = a.hull(&b);
         prop_assert!(h.contains_rect(&a));
@@ -44,12 +40,10 @@ check! {
         prop_assert!(h.volume() + 1e-9 >= a.volume().max(b.volume()));
     }
 
-    #[test]
     fn volume_is_nonnegative(a in rect_strategy(5)) {
         prop_assert!(a.volume() >= 0.0);
     }
 
-    #[test]
     fn point_in_intersection_is_in_both(
         a in rect_strategy(3),
         b in rect_strategy(3),
@@ -67,7 +61,6 @@ check! {
         }
     }
 
-    #[test]
     fn shrink_removes_overlap_and_shrinks_volume(
         c in rect_strategy(3),
         o in rect_strategy(3),
@@ -82,7 +75,6 @@ check! {
         }
     }
 
-    #[test]
     fn shrink_is_maximal_among_single_dim_cuts(
         c in rect_strategy(2),
         o in rect_strategy(2),

@@ -74,28 +74,24 @@ fn check_contracts(alg: &dyn SubspaceClustering, ds: &Dataset) -> Result<(), Tes
 check! {
     cases = 16;
 
-    #[test]
     fn mineclus_contracts(points in blob_strategy()) {
         let ds = dataset(&points);
         let alg = MineClus::new(MineClusConfig { alpha: 0.1, ..MineClusConfig::default() });
         check_contracts(&alg, &ds)?;
     }
 
-    #[test]
     fn doc_contracts(points in blob_strategy()) {
         let ds = dataset(&points);
         let alg = Doc::new(DocConfig { alpha: 0.1, trials: 64, ..DocConfig::default() });
         check_contracts(&alg, &ds)?;
     }
 
-    #[test]
     fn clique_contracts(points in blob_strategy()) {
         let ds = dataset(&points);
         let alg = Clique::new(CliqueConfig { tau: 0.05, ..CliqueConfig::default() });
         check_contracts(&alg, &ds)?;
     }
 
-    #[test]
     fn proclus_contracts(points in blob_strategy()) {
         let ds = dataset(&points);
         let alg = Proclus::new(ProclusConfig { k: 4, iterations: 4, ..ProclusConfig::default() });

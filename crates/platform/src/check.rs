@@ -532,6 +532,11 @@ macro_rules! prop_assert_eq {
 /// becomes a `#[test]` running [`run`] over the tuple of strategies. An
 /// optional leading `cases = N;` sets the per-test case count (default
 /// [`DEFAULT_CASES`]).
+///
+/// The macro adds the `#[test]` attribute itself, so a property must not
+/// write one: other attributes (doc comments, `#[ignore]`) pass through,
+/// but a second `#[test]` registers the property twice and the harness
+/// runs it twice.
 #[macro_export]
 macro_rules! check {
     (cases = $cases:expr; $($rest:tt)*) => {

@@ -9,7 +9,6 @@ check! {
 
     /// Every generated query has exactly the requested volume fraction and
     /// fits inside the domain, for arbitrary domains and fractions.
-    #[test]
     fn queries_have_exact_volume_and_fit(
         dim in 1usize..6,
         lo in -50.0f64..50.0,
@@ -34,7 +33,6 @@ check! {
     }
 
     /// Centered queries fit the domain even when the center is outside it.
-    #[test]
     fn centered_always_fits(
         cx in -200.0f64..1200.0,
         cy in -200.0f64..1200.0,
@@ -48,7 +46,6 @@ check! {
     }
 
     /// Permutations preserve the query multiset and are deterministic.
-    #[test]
     fn permutation_roundtrip(seed in 0u64..500, perm_seed in 0u64..500) {
         let domain = Rect::cube(3, 0.0, 100.0);
         let wl = WorkloadSpec {
@@ -72,7 +69,6 @@ check! {
     }
 
     /// Splitting then concatenating is the identity.
-    #[test]
     fn split_concat_identity(split in 0usize..=60) {
         let domain = Rect::cube(2, 0.0, 10.0);
         let wl = WorkloadSpec {

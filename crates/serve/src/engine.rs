@@ -105,8 +105,8 @@ pub trait Backend: Sync {
 }
 
 /// The single-tenant backend: one [`SnapshotCell`] holding a
-/// [`FrozenHistogram`], the shape `serve_concurrent`/`serve_durable`
-/// publish into.
+/// [`FrozenHistogram`], for callers that serve one snapshot without a
+/// registry (the load generator, the benchmark's read workload).
 pub struct CellBackend<'a> {
     cell: &'a SnapshotCell<FrozenHistogram>,
 }

@@ -1,9 +1,8 @@
 //! The serving tier: a poll/reactor engine over epoch-published snapshots.
 //!
-//! Before this crate, each serve entry point in `sth-eval` grew its own
-//! reader loop — thread-per-reader, one snapshot load per batch,
-//! duplicated audit/timeline/panic plumbing. This crate extracts the one
-//! engine all of them configure:
+//! One engine serves every read path in the workspace — the
+//! train-while-serve driver (`sth_eval::serve_training`), the load
+//! generator, and the benchmark:
 //!
 //! * **Engine threads, not reader threads.** A small number of engine
 //!   threads ([`EngineConfig::threads`]) multiplex many logical estimate
@@ -29,20 +28,25 @@
 //!
 //! Two drive modes share all of that machinery: [`serve_closed`] replays
 //! a fixed mixed-tenant stream until a trainer's done flag (the shape the
-//! eval serve loops want), and [`run_open`] lets a caller-side producer
-//! inject requests at its own pace (the shape a load generator wants).
+//! train-while-serve driver wants), and [`run_open`] lets a caller-side
+//! producer inject requests at its own pace (the shape a load generator
+//! wants).
 //!
-//! The per-epoch attribution types ([`EpochRow`], [`EpochTimeline`])
-//! moved here from `sth-eval` so the engine can attribute work as it
-//! serves; the eval reports re-export them unchanged.
+//! Two backends plug in: [`CellBackend`] over one
+//! `SnapshotCell<FrozenHistogram>`, and the multi-tenant [`Registry`],
+//! which publishes one [`TenantView`] per [`TenantKey`]. The per-epoch
+//! attribution types ([`EpochRow`], [`EpochTimeline`]) live here so the
+//! engine can attribute work as it serves.
 
 #![warn(missing_docs)]
 
 mod engine;
+mod registry;
 mod timeline;
 
 pub use engine::{
     route_batch, run_open, serve_closed, Backend, CellBackend, EngineConfig, EngineRun,
     EngineStats, Injector, OpenReport, Pinned, ReaderStats, TenantId, DEFAULT_COALESCE,
 };
+pub use registry::{PublishOutcome, Registry, TenantKey, TenantView};
 pub use timeline::{counter_marks, EpochRow, EpochTimeline};

@@ -12,38 +12,30 @@
 //! ## Epochs, two axes of them
 //!
 //! * **Tenant epochs** — the tenant's cell counts its publishes, so the
-//!   tenant epoch stays contiguous from 1 — the shape [`EpochTimeline`]
-//!   wants for per-tenant attribution.
+//!   tenant epoch stays contiguous from 1 — the shape
+//!   [`crate::EpochTimeline`] wants for per-tenant attribution.
 //! * **Composite epochs** — a registry-wide [`EpochClock`] ticks once per
 //!   publish, totally ordering all tenants' publishes on one timeline for
 //!   the aggregate report. Each view carries the composite epoch of the
 //!   publish that installed it.
 //!
-//! [`serve_registry`] drives the whole thing end to end: tenant trainers
-//! run on scoped threads (tenants dealt round-robin across workers; each
-//! turn absorbs a tenant's next slice of training queries and immediately
-//! publishes that dirty tenant), while the [`sth_serve`] engine serves the
-//! mixed-tenant stream — routing each generated batch by tenant
-//! ([`sth_serve::route_batch`]), answering each tenant's requests from one
-//! cached pin (refreshed only when the tenant epoch moves), and
-//! attributing every request to both the tenant epoch and the composite
-//! epoch. Obs counters and latency samples roll up per-tenant and in
-//! aggregate.
+//! The registry is itself an engine [`Backend`]: one request queue per
+//! tenant, pins refreshed through [`Registry::load_if_newer`], one
+//! `registry_routes` count per generated mixed batch.
+//! `sth_eval::serve_training` trains tenants into a registry while
+//! [`crate::serve_closed`] serves from it; that driver lives in `sth-eval`
+//! because it needs the write path (index feedback, durable store).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use sth_geometry::Rect;
 use sth_histogram::{FrozenHistogram, StHoles};
-use sth_index::{RangeCounter, ResultSetCounter};
 use sth_platform::obs;
 use sth_platform::snap::{EpochClock, SnapshotCell, SnapshotGuard};
-use sth_query::{CardinalityEstimator, Estimator, SelfTuning, Workload};
-use sth_serve::{
-    route_batch, serve_closed, Backend, EngineConfig, EngineStats, EpochTimeline, Pinned,
-    ReaderStats, TenantId,
-};
+use sth_query::{CardinalityEstimator, Estimator};
+
+use crate::engine::{route_batch, Backend, Pinned, TenantId};
 
 /// Identity of one histogram tenant: the table it models and the column
 /// subspace (ascending dimension indices) it covers.
@@ -245,22 +237,18 @@ impl Registry {
     }
 }
 
-/// The registry as an engine backend: one tenant per cell, pins
+/// The registry as an engine backend: one queue per tenant, pins
 /// refreshed via [`Registry::load_if_newer`], routing marks counted per
 /// generated batch.
-struct RegistryBackend<'a> {
-    registry: &'a Registry,
-}
-
-impl Backend for RegistryBackend<'_> {
-    type Pinned = TenantPin;
+impl Backend for Registry {
+    type Pinned = SnapshotGuard<TenantView>;
 
     fn tenant_count(&self) -> usize {
-        self.registry.tenant_count()
+        Registry::tenant_count(self)
     }
 
-    fn repin(&self, tenant: TenantId, seen: u64) -> Option<TenantPin> {
-        self.registry.load_if_newer(tenant, seen).map(TenantPin)
+    fn repin(&self, tenant: TenantId, seen: u64) -> Option<Self::Pinned> {
+        self.load_if_newer(tenant, seen)
     }
 
     fn mark_route(&self) {
@@ -268,365 +256,46 @@ impl Backend for RegistryBackend<'_> {
     }
 }
 
-/// A pinned tenant view — newtype over the guard because the orphan
-/// rule won't let this crate implement the foreign [`Pinned`] trait
-/// directly on the foreign [`SnapshotGuard`] wrapper.
-struct TenantPin(SnapshotGuard<TenantView>);
-
-impl Pinned for TenantPin {
+/// A pinned tenant view.
+impl Pinned for SnapshotGuard<TenantView> {
     fn epoch(&self) -> u64 {
-        self.0.epoch()
+        SnapshotGuard::epoch(self)
     }
 
     fn composite_epoch(&self) -> u64 {
-        TenantView::composite_epoch(&self.0)
+        TenantView::composite_epoch(self)
     }
 
     fn estimate_batch(&self, queries: &[Rect], out: &mut Vec<f64>) {
-        TenantView::estimate_batch(&self.0, queries, out)
+        TenantView::estimate_batch(self, queries, out)
     }
 
     fn check_invariants(&self) -> Result<(), String> {
-        TenantView::check_invariants(&self.0)
+        TenantView::check_invariants(self)
     }
-}
-
-/// Everything [`serve_registry`] needs to drive one tenant: identity,
-/// trainable histogram, its workloads, and its feedback oracle.
-pub struct TenantRuntime {
-    /// Tenant identity.
-    pub key: TenantKey,
-    /// The mutable histogram the tenant's trainer refines.
-    pub hist: StHoles,
-    /// Training workload (refined, single-probe feedback discipline).
-    pub train: Workload,
-    /// Serving workload (estimated by the readers).
-    pub serve: Workload,
-    /// Feedback oracle for the training workload.
-    pub counter: Arc<dyn RangeCounter + Send + Sync>,
-}
-
-/// Knobs for [`serve_registry`].
-#[derive(Clone, Debug)]
-pub struct RegistryServeConfig {
-    /// Logical reader streams, multiplexed over the engine's thread pool
-    /// (at most `min(readers, worker_count)` threads by default).
-    pub readers: usize,
-    /// Mixed-stream queries per generated stream batch.
-    pub batch: usize,
-    /// Training queries a trainer absorbs per tenant turn before
-    /// publishing that tenant.
-    pub republish_every: usize,
-    /// Trainer workers the tenants are dealt across (also bounded by the
-    /// pool's worker count).
-    pub trainer_workers: usize,
-}
-
-impl Default for RegistryServeConfig {
-    fn default() -> Self {
-        Self { readers: 4, batch: 32, republish_every: 25, trainer_workers: 2 }
-    }
-}
-
-/// One tenant's rollup out of a [`serve_registry`] run.
-#[derive(Clone, Debug)]
-pub struct TenantServeReport {
-    /// Tenant identity.
-    pub key: TenantKey,
-    /// Publication rounds the trainer ran (excluding registration).
-    pub publishes: u64,
-    /// Final tenant epoch (= 1 + publishes).
-    pub final_epoch: u64,
-    /// Estimates answered for this tenant across all readers.
-    pub answered: u64,
-    /// Sub-batches routed to this tenant.
-    pub batches: u64,
-    /// The tenant trainer's obs delta (refine-side work only; reader-side
-    /// work is not separable per tenant and rolls up in the aggregate).
-    pub trainer_counters: obs::Snapshot,
-    /// Per-tenant-epoch serving activity, epochs 1..=`final_epoch`.
-    pub timeline: EpochTimeline,
-}
-
-/// Outcome of one [`serve_registry`] run.
-#[derive(Clone, Debug)]
-pub struct RegistryServeReport {
-    /// Per-tenant rollups, tenant-id order.
-    pub tenants: Vec<TenantServeReport>,
-    /// Per-reader tallies (epochs here are *composite* epochs).
-    pub readers: Vec<ReaderStats>,
-    /// Counters and stats for the whole run (trainers + readers, merged
-    /// deterministically).
-    pub counters: obs::Snapshot,
-    /// Final composite epoch (total publication rounds + 1).
-    pub composite_final: u64,
-    /// Aggregate serving activity on the composite-epoch timeline.
-    pub composite_timeline: EpochTimeline,
-    /// How the engine ran: services, coalescing, pin cache hits, sheds.
-    pub engine: EngineStats,
-    /// Estimates shed by deadline admission control, per tenant (all zero
-    /// unless `STH_SERVE_DEADLINE_US` is set).
-    pub shed_by_tenant: Vec<u64>,
-}
-
-impl RegistryServeReport {
-    /// Total estimates answered across all tenants.
-    pub fn answered(&self) -> u64 {
-        self.tenants.iter().map(|t| t.answered).sum()
-    }
-
-    /// Total sub-batches served across all tenants.
-    pub fn batches(&self) -> u64 {
-        self.tenants.iter().map(|t| t.batches).sum()
-    }
-}
-
-/// Per-tenant publication totals a trainer worker accumulates.
-#[derive(Default)]
-struct TrainerTotals {
-    publishes: u64,
-    counters: obs::Snapshot,
-}
-
-/// Trainer-liveness drop guard: the last trainer worker to exit — by
-/// finishing *or by panicking* — raises the engine's done flag. Without
-/// the drop guarantee, a panicking trainer would leave the engine polling
-/// the last views forever.
-struct TrainerLive<'a> {
-    live: &'a AtomicU64,
-    done: &'a AtomicBool,
-}
-
-impl Drop for TrainerLive<'_> {
-    fn drop(&mut self) {
-        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// Registers every runtime into `registry`, then trains all tenants while
-/// concurrently serving a mixed-tenant estimate stream.
-///
-/// Trainers: the tenants are dealt round-robin across
-/// [`RegistryServeConfig::trainer_workers`] pool workers; each worker
-/// cycles through its tenants, absorbing up to `republish_every` training
-/// queries per turn (the same single-probe feedback discipline as
-/// [`crate::serve_concurrent`]) and publishing the dirty tenant before
-/// moving on — so publication pressure follows refinement pressure.
-/// A tenant's final state is always published by its last turn.
-///
-/// Serving: the per-tenant serve workloads are interleaved round-robin
-/// into one mixed stream and handed to the [`sth_serve`] engine — each
-/// generated batch is routed by tenant, answered from cached tenant
-/// pins (refreshed when the tenant epoch moves), and attributed to both
-/// the tenant epoch and the composite epoch.
-pub fn serve_registry(
-    registry: &mut Registry,
-    runtimes: Vec<TenantRuntime>,
-    cfg: &RegistryServeConfig,
-) -> RegistryServeReport {
-    assert!(registry.tenant_count() == 0, "serve_registry wants a fresh registry");
-    assert!(!runtimes.is_empty(), "serve_registry needs at least one tenant");
-    assert!(cfg.readers >= 1, "serve_registry needs at least one reader");
-    assert!(cfg.batch >= 1, "serve_registry needs a non-empty batch");
-    assert!(cfg.republish_every >= 1);
-    assert!(cfg.trainer_workers >= 1);
-
-    let _span = obs::span("eval.serve_registry");
-
-    // Register every tenant and build the mixed serve stream (round-robin
-    // interleave of the per-tenant serve workloads).
-    let mut per_tenant: Vec<(TenantId, TenantRuntime)> = Vec::with_capacity(runtimes.len());
-    let mut serve_rects: Vec<Vec<Rect>> = Vec::with_capacity(runtimes.len());
-    for rt in runtimes {
-        assert!(!rt.serve.is_empty(), "tenant {} has nothing to serve", rt.key);
-        let id = registry.register(rt.key.clone(), &rt.hist);
-        serve_rects.push(rt.serve.queries().iter().map(|q| q.rect().clone()).collect());
-        per_tenant.push((id, rt));
-    }
-    let longest = serve_rects.iter().map(|r| r.len()).max().unwrap_or(0);
-    let mut stream: Vec<(TenantId, Rect)> = Vec::new();
-    for round in 0..longest {
-        for (id, rects) in serve_rects.iter().enumerate() {
-            if let Some(r) = rects.get(round) {
-                stream.push((id, r.clone()));
-            }
-        }
-    }
-
-    // Deal tenants round-robin across trainer workers; each worker owns
-    // its bucket outright (the mutex is uncontended — it only exists to
-    // move mutable runtimes into the scoped closure).
-    let workers = cfg.trainer_workers.min(per_tenant.len());
-    let mut buckets: Vec<Mutex<Vec<(TenantId, TenantRuntime)>>> =
-        (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-    for (i, entry) in per_tenant.into_iter().enumerate() {
-        buckets[i % workers].get_mut().unwrap().push(entry);
-    }
-
-    let done = AtomicBool::new(false);
-    let readers_started = AtomicU64::new(0);
-    let trainers_live = AtomicU64::new(workers as u64);
-    let registry_ref = &*registry;
-
-    let (trainer_outcomes, run) = std::thread::scope(|s| {
-        let trainer_handles: Vec<_> = buckets
-            .iter()
-            .map(|bucket| {
-                s.spawn(|| {
-                    let _flight = obs::flight::FlightDump::new("registry trainer");
-                    // Raise the done flag when the last worker exits —
-                    // even on panic, so the engine never hangs.
-                    let _live = TrainerLive { live: &trainers_live, done: &done };
-                    // Hold the epoch-1 views until the engine is
-                    // live (same guarantee as `serve_concurrent`).
-                    while readers_started.load(Ordering::Acquire) == 0 {
-                        std::thread::yield_now();
-                    }
-                    let mut mine =
-                        bucket.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                    let mut totals: BTreeMap<TenantId, TrainerTotals> = BTreeMap::new();
-                    let mut cursors = vec![0usize; mine.len()];
-                    let mut result = ResultSetCounter::empty(1);
-                    loop {
-                        let mut progressed = false;
-                        for (slot, (id, rt)) in mine.iter_mut().enumerate() {
-                            let queries = rt.train.queries();
-                            if cursors[slot] >= queries.len() {
-                                continue;
-                            }
-                            progressed = true;
-                            let obs_before = obs::snapshot();
-                            let end = (cursors[slot] + cfg.republish_every).min(queries.len());
-                            for q in &queries[cursors[slot]..end] {
-                                if result.refill_from_counter(rt.counter.as_ref(), q.rect()) {
-                                    let truth = result.total() as f64;
-                                    rt.hist.refine_with_truth(q.rect(), &result, truth);
-                                } else {
-                                    rt.hist.refine(q.rect(), rt.counter.as_ref());
-                                }
-                            }
-                            cursors[slot] = end;
-                            registry_ref.publish(*id, &rt.hist);
-                            let t = totals.entry(*id).or_default();
-                            t.publishes += 1;
-                            t.counters.merge(&obs::snapshot().delta(&obs_before));
-                        }
-                        if !progressed {
-                            break;
-                        }
-                    }
-                    // Tenants with empty training workloads still produce
-                    // a totals row so the report covers every tenant.
-                    for (id, _) in mine.iter() {
-                        totals.entry(*id).or_default();
-                    }
-                    totals
-                })
-            })
-            .collect();
-
-        let backend = RegistryBackend { registry: registry_ref };
-        let run = serve_closed(
-            &backend,
-            &stream,
-            cfg.readers,
-            cfg.batch,
-            &EngineConfig::from_env(),
-            &done,
-            &readers_started,
-        );
-        let trainer_outcomes: Vec<BTreeMap<TenantId, TrainerTotals>> = trainer_handles
-            .into_iter()
-            .map(|h| h.join().expect("registry trainer worker panicked"))
-            .collect();
-        (trainer_outcomes, run)
-    });
-
-    // Roll up: per-tenant totals (each tenant lives in exactly one
-    // worker's map), aggregate counters, both timeline layers.
-    let mut totals: BTreeMap<TenantId, TrainerTotals> = BTreeMap::new();
-    for map in trainer_outcomes {
-        for (id, t) in map {
-            debug_assert!(!totals.contains_key(&id), "tenant {id} trained twice");
-            totals.insert(id, t);
-        }
-    }
-    let mut counters = run.obs;
-    let mut tenant_maps = run.tenant_rows;
-
-    let mut tenants = Vec::with_capacity(registry.tenant_count());
-    for id in 0..registry.tenant_count() {
-        let t = totals.remove(&id).unwrap_or_default();
-        counters.merge(&t.counters);
-        let final_epoch = registry.tenant_epoch(id);
-        let maps = std::mem::take(&mut tenant_maps[id]);
-        let (answered, batches) =
-            maps.iter().flat_map(|m| m.values()).fold((0, 0), |(a, b), row| {
-                (a + row.answered, b + row.batches)
-            });
-        tenants.push(TenantServeReport {
-            key: registry.key(id).clone(),
-            publishes: t.publishes,
-            final_epoch,
-            answered,
-            batches,
-            trainer_counters: t.counters,
-            timeline: EpochTimeline::assemble(final_epoch, maps, BTreeMap::new()),
-        });
-    }
-
-    let composite_final = registry.composite_epoch();
-    let report = RegistryServeReport {
-        tenants,
-        readers: run.streams,
-        counters,
-        composite_final,
-        composite_timeline: EpochTimeline::assemble(
-            composite_final,
-            run.composite_rows,
-            BTreeMap::new(),
-        ),
-        engine: run.stats,
-        shed_by_tenant: run.shed,
-    };
-    if obs::event_enabled() {
-        obs::event(
-            "serve_registry",
-            &[
-                ("tenants", obs::FieldValue::Int(report.tenants.len() as u64)),
-                ("readers", obs::FieldValue::Int(report.readers.len() as u64)),
-                ("composite_final", obs::FieldValue::Int(report.composite_final)),
-                ("answered", obs::FieldValue::Int(report.answered())),
-                ("obs", obs::FieldValue::Raw(&report.counters.to_json())),
-                ("timeline", obs::FieldValue::Raw(&report.composite_timeline.to_json())),
-            ],
-        );
-    }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineConfig;
     use sth_data::cross::CrossSpec;
     use sth_index::KdCountTree;
-    use sth_query::{CardinalityEstimator, WorkloadSpec};
+    use sth_query::{SelfTuning, Workload, WorkloadSpec};
 
-    fn tenant_fixture(seed: u64) -> (StHoles, Workload, Workload, Arc<KdCountTree>) {
+    fn tenant_fixture(seed: u64) -> (StHoles, Workload, Workload, KdCountTree) {
         let data = CrossSpec::cross2d().scaled(0.04).generate();
-        let index = Arc::new(KdCountTree::build(&data));
+        let index = KdCountTree::build(&data);
         let wl = WorkloadSpec::paper(0.01, seed).generate(data.domain(), None);
         let (train, serve) = wl.split_train(wl.len() / 2);
         let hist = sth_core::build_uninitialized(&data, 48);
         (hist, train, serve, index)
     }
 
-    fn trained(seed: u64, queries: usize) -> (StHoles, Arc<KdCountTree>, Workload) {
+    fn trained(seed: u64, queries: usize) -> (StHoles, KdCountTree, Workload) {
         let (mut hist, train, serve, index) = tenant_fixture(seed);
         for q in train.queries().iter().take(queries) {
-            hist.refine(q.rect(), index.as_ref());
+            hist.refine(q.rect(), &index);
         }
         (hist, index, serve)
     }
@@ -662,7 +331,7 @@ mod tests {
         let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
         let other = reg.register(TenantKey::new("u", vec![0, 1]), &hist);
         for q in serve.queries().iter().take(5) {
-            hist.refine(q.rect(), index.as_ref());
+            hist.refine(q.rect(), &index);
         }
         let outcome = reg.publish(id, &hist);
         let expected = PublishOutcome {
@@ -745,7 +414,7 @@ mod tests {
         let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
         let (pinned, before) = (reg.load(id), hist.freeze());
         for q in serve.queries().iter().take(10) {
-            hist.refine(q.rect(), index.as_ref());
+            hist.refine(q.rect(), &index);
         }
         reg.publish(id, &hist);
         let (fresh, after) = (reg.load(id), hist.freeze());
@@ -810,7 +479,7 @@ mod tests {
         let first = reg.load_if_newer(id, 0).expect("seen = 0 always pins");
         assert_eq!(first.epoch(), 1);
         assert!(reg.load_if_newer(id, first.epoch()).is_none(), "a current pin was refreshed");
-        hist.refine(serve.queries()[0].rect(), index.as_ref());
+        hist.refine(serve.queries()[0].rect(), &index);
         reg.publish(id, &hist);
         let second = reg.load_if_newer(id, first.epoch()).expect("a publish must refresh the pin");
         assert_eq!((second.epoch(), second.composite_epoch()), (2, 2));
@@ -843,8 +512,8 @@ mod tests {
         let mut reg = Registry::new();
         let a = reg.register(TenantKey::new("a", vec![0, 1]), &hist);
         let b = reg.register(TenantKey::new("b", vec![0, 1]), &hist);
-        let backend = RegistryBackend { registry: &reg };
-        assert_eq!(backend.tenant_count(), 2);
+        let backend = &reg;
+        assert_eq!(Backend::tenant_count(backend), 2);
         let (pa, pb) = (backend.repin(a, 0).unwrap(), backend.repin(b, 0).unwrap());
         reg.publish(a, &hist);
         let pa2 = backend.repin(a, pa.epoch()).expect("republished tenant must repin");
@@ -903,55 +572,96 @@ mod tests {
     }
 
     #[test]
-    fn serve_registry_end_to_end() {
-        let mut runtimes = Vec::new();
-        for seed in [41u64, 43, 47] {
-            let (hist, train, serve, index) = tenant_fixture(seed);
-            runtimes.push(TenantRuntime {
-                key: TenantKey::new(format!("t{seed}"), vec![0, 1]),
-                hist,
-                train,
-                serve,
-                counter: index,
-            });
-        }
-        let mut reg = Registry::new();
-        let cfg =
-            RegistryServeConfig { readers: 2, batch: 24, republish_every: 10, trainer_workers: 2 };
-        let report = serve_registry(&mut reg, runtimes, &cfg);
+    fn tenant_keys_render_every_subspace_shape() {
+        assert_eq!(TenantKey::new("orders", Vec::<u32>::new()).to_string(), "orders[]");
+        assert_eq!(TenantKey::new("orders", vec![3]).to_string(), "orders[3]");
+        assert_eq!(TenantKey::new("sky", vec![0, 4, 7]).to_string(), "sky[0,4,7]");
+    }
 
-        assert_eq!(report.tenants.len(), 3);
-        assert_eq!(report.composite_final, reg.composite_epoch());
-        let mut publishes_total = 0;
-        for (id, t) in report.tenants.iter().enumerate() {
-            assert_eq!(t.final_epoch, 1 + t.publishes, "tenant {id} epochs");
-            assert!(t.publishes >= 2, "tenant {id} republished");
-            assert!(t.answered >= 1, "tenant {id} was served");
-            assert_eq!(t.timeline.rows.len() as u64, t.final_epoch);
-            assert_eq!(
-                t.timeline.rows.iter().map(|r| r.answered).sum::<u64>(),
-                t.answered,
-                "tenant {id} timeline accounts for every estimate"
-            );
-            publishes_total += t.publishes;
+    #[test]
+    fn unpublished_refinement_stays_invisible() {
+        let (mut hist, index, serve) = trained(67, 10);
+        let mut reg = Registry::new();
+        let id = reg.register(TenantKey::new("t", vec![0, 1]), &hist);
+        let registered = hist.freeze();
+        for q in serve.queries().iter().take(10) {
+            hist.refine(q.rect(), &index);
         }
-        // Every publication round ticked the composite clock exactly once.
-        assert_eq!(report.composite_final, 1 + publishes_total);
-        assert_eq!(
-            report.composite_timeline.rows.iter().map(|r| r.answered).sum::<u64>(),
-            report.answered(),
-            "composite timeline accounts for every estimate"
-        );
-        // Readers saw more than one composite epoch and drained the end.
-        for r in &report.readers {
-            assert!(r.answered >= 1);
-            assert!(!r.epochs.is_empty());
+        // Registration froze a copy: readers keep the registered state
+        // until the trainer publishes.
+        let view = reg.load(id);
+        assert_eq!((view.epoch(), reg.tenant_epoch(id)), (1, 1));
+        let mut moved = 0;
+        for q in serve.queries().iter().map(|q| q.rect()) {
+            assert_eq!(view.estimate(q).to_bits(), registered.estimate(q).to_bits());
+            let live = CardinalityEstimator::estimate(&hist, q);
+            moved += usize::from(live.to_bits() != registered.estimate(q).to_bits());
         }
-        assert!(report.answered() >= cfg.batch as u64);
-        // Deadlines are disabled by default: nothing sheds, ever.
-        assert!(report.shed_by_tenant.iter().all(|&s| s == 0));
-        assert_eq!(report.engine.shed_requests, 0);
-        assert!(report.engine.services > 0);
+        assert!(moved > 0, "refinement moved no estimate, so nothing was tested");
+    }
+
+    #[test]
+    fn racing_publishers_keep_both_clocks_consistent() {
+        let (hist, ..) = trained(73, 10);
+        let mut reg = Registry::new();
+        let a = reg.register(TenantKey::new("a", vec![0, 1]), &hist);
+        let b = reg.register(TenantKey::new("b", vec![0, 1]), &hist);
+        let (threads, rounds) = (4u64, 8u64);
+        // Two publishers per tenant; each reports the newest composite
+        // epoch it was handed.
+        let newest: Vec<(TenantId, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (reg, hist) = (&reg, &hist);
+                    let id = if t % 2 == 0 { a } else { b };
+                    s.spawn(move || {
+                        let mut last = 0;
+                        for _ in 0..rounds {
+                            let out = reg.publish(id, hist);
+                            assert!(out.composite_epoch > last, "a publisher saw time run back");
+                            last = out.composite_epoch;
+                        }
+                        (id, last)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Every publish ticked each clock exactly once, and each tenant
+        // ends on the view of its newest tick: the publish lock keeps a
+        // slower publisher from installing an older composite epoch.
+        let per_tenant = threads / 2 * rounds;
+        assert_eq!((reg.tenant_epoch(a), reg.tenant_epoch(b)), (1 + per_tenant, 1 + per_tenant));
+        assert_eq!(reg.composite_epoch(), 1 + threads * rounds);
+        for id in [a, b] {
+            let view = reg.load(id);
+            let tick = newest.iter().filter(|(t, _)| *t == id).map(|(_, e)| *e).max();
+            assert_eq!(Some(view.composite_epoch()), tick, "tenant {id} holds a stale view");
+            assert_eq!(view.epoch(), reg.tenant_epoch(id));
+        }
+    }
+
+    #[test]
+    fn each_routed_batch_counts_one_registry_route() {
+        obs::force_metrics(true);
+        let (hist, _, serve) = trained(79, 10);
+        let mut reg = Registry::new();
+        for t in 0..2u32 {
+            reg.register(TenantKey::new("t", vec![t]), &hist);
+        }
+        let batch: Vec<(TenantId, Rect)> = serve.queries()[..12]
+            .iter()
+            .enumerate()
+            .map(|(j, q)| (j % 2, q.rect().clone()))
+            .collect();
+        let before = obs::read(obs::Counter::RegistryRoutes);
+        let mut out = Vec::new();
+        reg.estimate_batch_routed(&batch, &mut out);
+        reg.estimate_batch_routed(&[], &mut out);
+        Backend::mark_route(&reg);
+        // One count per call, however many tenants a batch spans.
+        assert_eq!(obs::read(obs::Counter::RegistryRoutes) - before, 3);
+        obs::force_metrics(false);
     }
 
     sth_platform::check! {
@@ -961,7 +671,6 @@ mod tests {
         /// `route_batch` and pushed through the engine (whatever the
         /// coalescing cap groups together) answer bit-identically to
         /// asking each tenant's pinned view directly, query by query.
-        #[test]
         fn coalesced_mixed_engine_batches_are_bit_identical(
             request_len in 1usize..5,
             coalesce in 1usize..97,
@@ -979,9 +688,8 @@ mod tests {
                     (i % 3, Rect::from_bounds(&[lo, lo * 0.5], &[lo + 18.0, lo * 0.5 + 25.0]))
                 })
                 .collect();
-            let backend = RegistryBackend { registry: &reg };
             let cfg = EngineConfig { threads: 2, coalesce, deadline: None };
-            let (report, injected) = sth_serve::run_open(&backend, &cfg, true, |inj| {
+            let (report, injected) = crate::run_open(&reg, &cfg, true, |inj| {
                 let mut injected = Vec::new();
                 // Requests follow the routing split of fixed-size mixed
                 // batches, exactly like the closed loop generates them.
@@ -1010,41 +718,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn serve_registry_routes_bit_identically_to_the_final_snapshots() {
-        let mut runtimes = Vec::new();
-        let mut serves = Vec::new();
-        for seed in [53u64, 59] {
-            let (hist, train, serve, index) = tenant_fixture(seed);
-            serves.push(serve.clone());
-            runtimes.push(TenantRuntime {
-                key: TenantKey::new(format!("t{seed}"), vec![0, 1]),
-                hist,
-                train,
-                serve,
-                counter: index,
-            });
-        }
-        let mut reg = Registry::new();
-        let report = serve_registry(&mut reg, runtimes, &RegistryServeConfig::default());
-        assert_eq!(report.tenants.len(), 2);
-        // After the run, routing a mixed batch equals per-tenant answers
-        // from the final views, bit for bit.
-        let batch: Vec<(TenantId, Rect)> = serves
-            .iter()
-            .enumerate()
-            .flat_map(|(id, wl)| {
-                wl.queries().iter().take(10).map(move |q| (id, q.rect().clone()))
-            })
-            .collect();
-        let mut routed = Vec::new();
-        reg.estimate_batch_routed(&batch, &mut routed);
-        for (j, (id, q)) in batch.iter().enumerate() {
-            let view = reg.load(*id);
-            assert_eq!(routed[j].to_bits(), view.estimate(q).to_bits());
         }
     }
 }

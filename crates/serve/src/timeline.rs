@@ -235,4 +235,54 @@ mod tests {
         assert_eq!(table.lines().count(), 4, "header + 3 epochs");
         assert!(table.contains("p999_ns"));
     }
+
+    #[test]
+    fn row_absorb_adds_every_count_and_merges_latencies() {
+        let mut a = row(4, 2, &[100, 200]);
+        a.kernel_calls = 3;
+        let b = EpochRow {
+            epoch: 4,
+            publishes: 1,
+            batches: 1,
+            answered: 5,
+            kernel_calls: 2,
+            lanes_pruned: 7,
+            flushes: 1,
+            store_bytes_flushed: 512,
+            ..row(4, 0, &[50])
+        };
+        a.absorb(&b);
+        assert_eq!((a.epoch, a.publishes, a.batches, a.answered), (4, 1, 3, 21));
+        assert_eq!((a.kernel_calls, a.lanes_pruned), (5, 7));
+        assert_eq!((a.flushes, a.store_bytes_flushed), (1, 512));
+        assert_eq!(a.batch_ns.count(), 3);
+        let mut whole = ValueHist::new();
+        for v in [100, 200, 50] {
+            whole.record(v);
+        }
+        assert_eq!((a.batch_ns.p50(), a.batch_ns.p99()), (whole.p50(), whole.p99()));
+    }
+
+    #[test]
+    fn row_lookup_finds_assembled_epochs_only() {
+        let tl = EpochTimeline::assemble(3, Vec::new(), BTreeMap::new());
+        assert_eq!(tl.row(2).map(|r| (r.epoch, r.publishes)), Some((2, 1)));
+        assert!(tl.row(0).is_none());
+        assert!(tl.row(4).is_none());
+        assert_eq!(tl.batches(), 0);
+    }
+
+    #[test]
+    fn idle_epochs_render_zero_quantiles() {
+        let served = BTreeMap::from([(2, row(2, 1, &[900]))]);
+        let tl = EpochTimeline::assemble(2, vec![served], BTreeMap::new());
+        let table = tl.render_table();
+        let idle: Vec<&str> = table.lines().nth(1).unwrap().split_whitespace().collect();
+        assert_eq!(idle, ["1", "0", "0", "0", "0", "0", "0", "0", "0", "0"]);
+        assert!(tl.to_json().contains("\"epoch\": 2, \"publishes\": 1, \"batches\": 1"));
+        let empty = EpochTimeline::default();
+        assert_eq!(empty.to_json(), "[]");
+        assert_eq!(empty.render_table().lines().count(), 1, "header only");
+        assert!(empty.batch_ns_overall().is_empty());
+    }
 }

@@ -279,3 +279,95 @@ fn route_batch_groups_by_tenant_in_input_order() {
     }
     assert_eq!(seen, 10, "every query routed exactly once");
 }
+
+#[test]
+fn uncoalesced_open_loop_serves_every_request_alone() {
+    // One slow engine thread: requests pile up behind every service.
+    let mut backend = MockBackend::new(2);
+    backend.delay = Duration::from_millis(1);
+    let cfg = EngineConfig { threads: 1, coalesce: 1, deadline: None };
+    // Mostly one-query requests, so any cap above one would merge them.
+    let sizes: Vec<usize> = (0..30).map(|i| if i % 5 == 4 { 3 } else { 1 }).collect();
+    let (report, ()) = run_open(&backend, &cfg, false, |inj| {
+        for (i, &n) in sizes.iter().enumerate() {
+            let lo = i as f64;
+            let rects = vec![Rect::from_bounds(&[lo, 0.0], &[lo + 0.5, 1.0]); n];
+            inj.inject(i % 2, rects);
+        }
+    });
+    let queries: u64 = sizes.iter().map(|&n| n as u64).sum();
+    assert_eq!(report.answered_total(), queries);
+    assert_eq!(report.latency.count(), sizes.len() as u64);
+    // A cap of one query never merges two waiting requests: one service
+    // per request, and the largest service is the largest request.
+    assert_eq!(report.stats.services, sizes.len() as u64);
+    assert_eq!(report.stats.coalesced_services, 0);
+    assert_eq!(report.stats.max_service_queries, 3);
+}
+
+#[test]
+fn open_loop_without_capture_hands_out_no_slots() {
+    let backend = MockBackend::new(3);
+    let cfg = EngineConfig { threads: 2, ..EngineConfig::default() };
+    let (report, slots) = run_open(&backend, &cfg, false, |inj| {
+        (0..12)
+            .map(|i| inj.inject(i % 3, vec![Rect::from_bounds(&[0.0, 0.0], &[1.0, 1.0])]))
+            .collect::<Vec<usize>>()
+    });
+    assert!(slots.iter().all(|&s| s == usize::MAX), "slots without capture: {slots:?}");
+    assert!(report.results.is_none());
+    assert_eq!(report.offered, [4, 4, 4]);
+    assert_eq!(report.answered, report.offered);
+}
+
+#[test]
+#[should_panic(expected = "unknown tenant")]
+fn injecting_for_an_unknown_tenant_panics() {
+    let backend = MockBackend::new(2);
+    let cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
+    run_open(&backend, &cfg, false, |inj| {
+        inj.inject(2, vec![Rect::from_bounds(&[0.0, 0.0], &[1.0, 1.0])]);
+    });
+}
+
+#[test]
+#[should_panic(expected = "the backend does not have")]
+fn closed_loop_rejects_a_stream_routed_past_the_backend() {
+    let backend = MockBackend::new(2);
+    let stream = mixed_stream(3, 9);
+    let (done, started) = (AtomicBool::new(true), AtomicU64::new(0));
+    serve_closed(&backend, &stream, 1, 4, &EngineConfig::default(), &done, &started);
+}
+
+#[test]
+fn cell_backend_repins_only_after_a_publish() {
+    use sth_platform::snap::SnapshotCell;
+    use sth_query::{CardinalityEstimator, SelfTuning, WorkloadSpec};
+
+    let data = sth_data::cross::CrossSpec::cross2d().scaled(0.03).generate();
+    let index = sth_index::KdCountTree::build(&data);
+    let wl = WorkloadSpec::paper(0.01, 19).generate(data.domain(), None);
+    let mut hist = sth_core::build_uninitialized(&data, 32);
+    let cell = SnapshotCell::new(hist.freeze());
+    let backend = sth_serve::CellBackend::new(&cell);
+    assert_eq!(backend.tenant_count(), 1);
+    let first = backend.repin(0, 0).expect("seen = 0 always pins");
+    // A single cell has one clock: the composite epoch is the epoch.
+    assert_eq!((first.epoch(), first.composite_epoch()), (1, 1));
+    assert!(backend.repin(0, 1).is_none(), "a current pin was refreshed");
+
+    for q in wl.queries().iter().take(40) {
+        hist.refine(q.rect(), &index);
+    }
+    cell.publish(hist.freeze());
+    let second = backend.repin(0, 1).expect("a publish must refresh the pin");
+    assert_eq!((second.epoch(), second.composite_epoch()), (2, 2));
+    second.check_invariants().unwrap();
+    let queries: Vec<Rect> = wl.queries()[40..80].iter().map(|q| q.rect().clone()).collect();
+    let mut out = vec![f64::NAN; 3]; // stale garbage: must clear
+    Pinned::estimate_batch(&second, &queries, &mut out);
+    assert_eq!(out.len(), queries.len());
+    for (q, v) in queries.iter().zip(&out) {
+        assert_eq!(v.to_bits(), CardinalityEstimator::estimate(&hist, q).to_bits());
+    }
+}

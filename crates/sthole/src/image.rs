@@ -224,7 +224,7 @@ mod tests {
     use super::*;
     use sth_geometry::Rect;
     use sth_index::{ResultSetCounter, ScanCounter};
-    use sth_query::{CardinalityEstimator, WorkloadSpec};
+    use sth_query::WorkloadSpec;
 
     fn trained(queries: usize) -> (StHoles, sth_data::Dataset) {
         let ds = sth_data::cross::CrossSpec::cross2d().scaled(0.02).generate();

@@ -41,7 +41,6 @@ fn assert_agrees(h: &mut StHoles) -> Result<(), TestCaseError> {
 check! {
     cases = 48;
 
-    #[test]
     fn best_merge_agrees_with_oracle_under_random_workloads(
         points in collection::vec(point_strategy(), 20..200),
         queries in collection::vec(query_strategy(), 1..30),
@@ -59,7 +58,6 @@ check! {
         }
     }
 
-    #[test]
     fn best_merge_agrees_after_decay_and_clone(
         points in collection::vec(point_strategy(), 20..120),
         queries in collection::vec(query_strategy(), 1..15),
@@ -82,7 +80,6 @@ check! {
         prop_assert_eq!(cold.best_merge(), h.best_merge());
     }
 
-    #[test]
     fn best_merge_agrees_after_persist_roundtrip(
         points in collection::vec(point_strategy(), 20..120),
         queries in collection::vec(query_strategy(), 1..15),

@@ -23,7 +23,6 @@ fn query_strategy() -> impl Strategy<Value = Rect> {
 check! {
     cases = 48;
 
-    #[test]
     fn roundtrip_is_estimate_identical(
         points in collection::vec((0.0f64..100.0, 0.0f64..100.0), 10..120),
         queries in collection::vec(query_strategy(), 0..25),
@@ -47,7 +46,6 @@ check! {
         prop_assert_eq!(back.to_bytes(), bytes);
     }
 
-    #[test]
     fn decoded_histogram_keeps_learning_soundly(
         points in collection::vec((0.0f64..100.0, 0.0f64..100.0), 10..80),
         pre in collection::vec(query_strategy(), 0..10),

@@ -28,7 +28,6 @@ fn query_strategy() -> impl Strategy<Value = Rect> {
 check! {
     cases = 64;
 
-    #[test]
     fn invariants_hold_under_random_workloads(
         points in collection::vec(point_strategy(), 20..200),
         queries in collection::vec(query_strategy(), 1..40),
@@ -44,7 +43,6 @@ check! {
         }
     }
 
-    #[test]
     fn estimates_are_finite_and_nonnegative(
         points in collection::vec(point_strategy(), 20..100),
         queries in collection::vec(query_strategy(), 1..20),
@@ -66,7 +64,6 @@ check! {
         }
     }
 
-    #[test]
     fn total_mass_is_preserved(
         points in collection::vec(point_strategy(), 20..100),
         queries in collection::vec(query_strategy(), 1..30),
@@ -88,7 +85,6 @@ check! {
         }
     }
 
-    #[test]
     fn last_query_is_answered_exactly_when_budget_allows(
         points in collection::vec(point_strategy(), 20..150),
         queries in collection::vec(query_strategy(), 1..10),
@@ -111,7 +107,6 @@ check! {
         );
     }
 
-    #[test]
     fn frozen_estimate_is_bit_identical_to_live(
         points in collection::vec(point_strategy(), 20..150),
         queries in collection::vec(query_strategy(), 1..30),
@@ -142,7 +137,6 @@ check! {
         }
     }
 
-    #[test]
     fn batch_kernel_is_bit_identical_to_scalar(
         points in collection::vec(point_strategy(), 20..150),
         queries in collection::vec(query_strategy(), 1..30),
@@ -196,7 +190,6 @@ check! {
         prop_assert!(tiny[0].to_bits() == frozen.estimate(&batch[0]).to_bits());
     }
 
-    #[test]
     fn frozen_snapshot_is_immutable_under_further_refinement(
         points in collection::vec(point_strategy(), 20..100),
         queries in collection::vec(query_strategy(), 2..20),
@@ -220,7 +213,6 @@ check! {
         prop_assert!(frozen.check_invariants().is_ok());
     }
 
-    #[test]
     fn estimation_is_monotone_in_query_box(
         points in collection::vec(point_strategy(), 20..100),
         queries in collection::vec(query_strategy(), 1..15),

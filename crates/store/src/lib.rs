@@ -93,6 +93,10 @@ pub enum StoreError {
     UnknownGeneration(u64),
     /// [`Store::create`] over an existing store directory.
     AlreadyExists,
+    /// [`DurableTrainer::absorb`] got a counter that cannot materialize
+    /// result rows. The delta log replays a refine from its rows, so it
+    /// cannot record count-only feedback; nothing was appended.
+    RowsUnavailable,
 }
 
 impl std::fmt::Display for StoreError {
@@ -103,6 +107,9 @@ impl std::fmt::Display for StoreError {
             StoreError::Poisoned => write!(f, "store poisoned by an earlier write failure"),
             StoreError::UnknownGeneration(g) => write!(f, "generation {g} is not retained"),
             StoreError::AlreadyExists => write!(f, "store directory already initialized"),
+            StoreError::RowsUnavailable => {
+                write!(f, "counter cannot materialize result rows for the delta log")
+            }
         }
     }
 }

@@ -68,20 +68,21 @@ impl DurableTrainer {
     /// On error the live histogram is untouched — memory and disk agree
     /// on the last durable sequence, so a dead trainer can simply be
     /// reopened.
+    ///
+    /// The counter must materialize result rows: refinement counts every
+    /// candidate hole from the logged rows, so count-only feedback would
+    /// train every drilled hole to zero. Such a counter is rejected with
+    /// [`StoreError::RowsUnavailable`] before anything is logged; the
+    /// store is not poisoned and the next absorb with rows proceeds.
     pub fn absorb(
         &mut self,
         query: &Rect,
         counter: &dyn RangeCounter,
     ) -> Result<AbsorbReport, StoreError> {
-        let truth = if self.result.refill_from_counter(counter, query) {
-            self.result.total() as f64
-        } else {
-            // The counter cannot materialize rows (the refill left the
-            // result empty); fall back to counting the query. Replay
-            // sees the same empty row set, so the logged record still
-            // reproduces this refine exactly.
-            counter.count(query) as f64
-        };
+        if !self.result.refill_from_counter(counter, query) {
+            return Err(StoreError::RowsUnavailable);
+        }
+        let truth = self.result.total() as f64;
         // Emitted before the append so a write failure's flight-recorder
         // dump shows the absorb that died, not just the ones before it.
         if obs::event_enabled() {

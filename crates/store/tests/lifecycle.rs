@@ -6,7 +6,7 @@ mod common;
 
 use std::sync::Arc;
 
-use sth_index::ScanCounter;
+use sth_index::{RangeCounter, ScanCounter};
 use sth_query::CardinalityEstimator;
 use sth_store::vfs::{MemVfs, RealVfs, Vfs};
 use sth_store::{DurableTrainer, Store, StoreConfig, StoreError};
@@ -49,6 +49,55 @@ fn recovered_trainer_keeps_training_like_the_original() {
     assert_eq!(resumed.seq(), reference.seq());
 }
 
+/// Forwards counts to a real index but cannot materialize result rows.
+struct CountOnly<'a>(ScanCounter<'a>);
+
+impl RangeCounter for CountOnly<'_> {
+    fn count(&self, rect: &sth_geometry::Rect) -> u64 {
+        self.0.count(rect)
+    }
+
+    fn total(&self) -> u64 {
+        self.0.total()
+    }
+}
+
+#[test]
+fn count_only_absorb_is_rejected_and_changes_nothing() {
+    let ds = dataset();
+    let counter = ScanCounter::new(&ds);
+    let qs = queries(4);
+    let mem = Arc::new(MemVfs::new());
+    let mut trainer =
+        DurableTrainer::create(DIR, mem.clone(), cfg(), fresh_hist(&ds)).expect("create");
+    for q in &qs[..3] {
+        trainer.absorb(q, &counter).expect("absorb");
+    }
+    let (seq, golden) = (trainer.seq(), trainer.golden_hash());
+    let pending = trainer.store().pending_deltas();
+
+    // The delta log replays rows, so count-only feedback is refused
+    // before anything is appended — and without poisoning the store.
+    match trainer.absorb(&qs[3], &CountOnly(ScanCounter::new(&ds))) {
+        Err(StoreError::RowsUnavailable) => {}
+        other => panic!("expected RowsUnavailable, got {other:?}"),
+    }
+    assert_eq!(trainer.seq(), seq);
+    assert_eq!(trainer.golden_hash(), golden);
+    assert_eq!(trainer.store().pending_deltas(), pending);
+    assert!(!trainer.store().poisoned());
+
+    // The next absorb with rows proceeds as if the refused one never
+    // happened: same state as the recorded uninterrupted run, in memory
+    // and on disk.
+    trainer.absorb(&qs[3], &counter).expect("absorb with rows");
+    let expected = record_run(4).goldens[4];
+    assert_eq!((trainer.seq(), trainer.golden_hash()), (4, expected));
+    drop(trainer);
+    let (reopened, report) = DurableTrainer::open(DIR, mem, cfg()).expect("open");
+    assert_eq!((report.seq, reopened.golden_hash()), (4, expected));
+}
+
 #[test]
 fn retention_window_rotates_and_serves_time_travel() {
     let rec = record_run(14);
@@ -70,7 +119,6 @@ fn retention_window_rotates_and_serves_time_travel() {
         let mut replay = fresh_hist(&ds);
         let mut result = sth_index::ResultSetCounter::empty(2);
         for q in &qs[..seq as usize] {
-            use sth_index::RangeCounter;
             use sth_query::SelfTuning;
             assert!(result.refill_from_counter(&counter, q));
             let truth = result.total() as f64;

@@ -56,7 +56,6 @@ fn boundaries(seg: &[u8], first_seq: u64) -> Vec<usize> {
 check! {
     cases = 64;
 
-    #[test]
     fn truncating_the_active_segment_yields_the_exact_prefix(frac in 0.0f64..1.0) {
         let rec = recorded();
         let seg = rec.files.get(&seg_path(4)).expect("active segment").clone();
@@ -81,7 +80,6 @@ check! {
         prop_assert!(!report.resealed);
     }
 
-    #[test]
     fn flipping_any_byte_anywhere_never_panics_and_keeps_a_valid_prefix(
         file_frac in 0.0f64..1.0,
         byte_frac in 0.0f64..1.0,
@@ -113,7 +111,6 @@ check! {
         }
     }
 
-    #[test]
     fn mid_chain_damage_reseals_and_training_continues(
         frac in 0.0f64..1.0,
         mask in 1u8..=255,

@@ -4,9 +4,9 @@
 //!
 //! `STH_TENANTS` (default 8) tenants — each with its own dataset, kd-tree
 //! execution engine, and training/serving workloads — are registered in a
-//! [`sth::eval::Registry`] and driven by [`sth::eval::serve_registry`]:
+//! [`sth::eval::Registry`] and driven by [`sth::eval::serve_training`]:
 //! trainer workers cycle the tenants round-robin, absorbing training
-//! queries and republishing each dirty tenant, while reader workers
+//! queries and republishing each dirty tenant, while reader streams
 //! answer a mixed-tenant estimate stream split per batch by
 //! [`sth::eval::route_batch`]. The example asserts the properties the
 //! design promises:
@@ -29,9 +29,7 @@
 //! STH_AUDIT=1 cargo run --release --example registry
 //! ```
 
-use std::sync::Arc;
-
-use sth::eval::{serve_registry, Registry, RegistryServeConfig, TenantKey, TenantRuntime};
+use sth::eval::{serve_training, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth::platform::{obs, par};
 use sth::prelude::*;
 
@@ -42,39 +40,44 @@ fn main() {
     let tenants: usize =
         std::env::var("STH_TENANTS").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
     assert!(tenants >= 1, "STH_TENANTS must be at least 1");
-    let cfg = RegistryServeConfig { readers: 4, batch: 32, republish_every: 20, trainer_workers: 3 };
+    let cfg = ServeConfig { readers: 4, batch: 32, republish_every: 20, trainer_workers: 3 };
     if par::worker_count() < cfg.readers {
         std::env::set_var("STH_THREADS", cfg.readers.to_string());
     }
 
     // Each tenant is an independent table: its own correlated dataset,
     // its own kd-tree engine, its own workloads, its own bucket budget.
-    let mut runtimes = Vec::with_capacity(tenants);
+    let mut tables = Vec::with_capacity(tenants);
     let mut serve_rects: Vec<Vec<Rect>> = Vec::with_capacity(tenants);
     for t in 0..tenants {
         let data = sth::data::cross::CrossSpec::cross2d().scaled(0.02).generate();
-        let index = Arc::new(KdCountTree::build(&data));
+        let index = KdCountTree::build(&data);
         let wl = WorkloadSpec { count: 180, ..WorkloadSpec::paper(0.01, 1_000 + t as u64) }
             .generate(data.domain(), None);
         let (train, serve) = wl.split_train(120);
         serve_rects.push(serve.queries().iter().map(|q| q.rect().clone()).collect());
-        runtimes.push(TenantRuntime {
-            key: TenantKey::new(format!("table{t}"), vec![0, 1]),
-            hist: build_uninitialized(&data, 48),
-            train,
-            serve,
-            counter: index,
-        });
+        tables.push((build_uninitialized(&data, 48), train, serve, index));
     }
+    let runtimes = tables
+        .iter_mut()
+        .enumerate()
+        .map(|(t, (hist, train, serve, index))| TenantRuntime {
+            key: TenantKey::new(format!("table{t}"), vec![0, 1]),
+            trainer: Trainer::Volatile(hist),
+            train: &*train,
+            serve: &*serve,
+            counter: &*index,
+        })
+        .collect();
     println!("registry: {} tenants, {:?}", tenants, cfg);
 
     let mut registry = Registry::new();
-    let report = serve_registry(&mut registry, runtimes, &cfg);
+    let report = serve_training(&mut registry, runtimes, &cfg).expect("no store");
 
     println!(
         "served {} estimates in {} routed sub-batches across {} readers; composite epoch {}",
         report.answered(),
-        report.batches(),
+        report.tenants.iter().map(|t| t.batches).sum::<u64>(),
         report.readers.len(),
         report.composite_final
     );

@@ -1,11 +1,12 @@
 //! Acceptance demo for the read/write split: serve cardinality estimates
 //! from epoch-published frozen snapshots while the trainer keeps refining.
 //!
-//! A trainer thread refines the live `StHoles` over a training workload,
-//! republishing a `FrozenHistogram` into a `SnapshotCell` every few
-//! queries. Four (or more) reader threads concurrently answer estimate
-//! batches from whatever snapshot is current. The example asserts the
-//! properties the design promises:
+//! The histogram is a one-tenant `Registry` run through
+//! `sth::eval::serve_training`: a trainer thread refines the live
+//! `StHoles` over a training workload, republishing its frozen snapshot
+//! every few queries, while four (or more) reader streams concurrently
+//! answer estimate batches from whatever snapshot is current. The example
+//! asserts the properties the design promises:
 //!
 //! * readers collectively serve from at least two distinct epochs — the
 //!   histogram really was republished mid-run under them;
@@ -22,7 +23,7 @@
 //! STH_AUDIT=1 cargo run --release --example serving
 //! ```
 
-use sth::eval::{serve_concurrent, ServeConfig};
+use sth::eval::{serve_training, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth::platform::{obs, par};
 use sth::prelude::*;
 
@@ -55,8 +56,16 @@ fn main() {
         .generate(data.domain(), None);
     let (train, serve) = wl.split_train(600);
 
-    let cfg = ServeConfig { readers, batch: 32, republish_every: 40 };
-    let report = serve_concurrent(&mut hist, &train, &serve, &engine, &cfg);
+    let cfg = ServeConfig { readers, batch: 32, republish_every: 40, trainer_workers: 1 };
+    let tenant = TenantRuntime {
+        key: TenantKey::new("cross", vec![0, 1]),
+        trainer: Trainer::Volatile(&mut hist),
+        train: &train,
+        serve: &serve,
+        counter: &engine,
+    };
+    let report = serve_training(&mut Registry::new(), vec![tenant], &cfg).expect("no store");
+    let trained = &report.tenants[0];
 
     println!(
         "served {} estimates in {} batches across {} readers",
@@ -66,7 +75,9 @@ fn main() {
     );
     println!(
         "trainer republished {} times (final epoch {}), readers saw epochs {:?}",
-        report.publishes, report.final_epoch, report.epochs_observed
+        trained.publishes,
+        trained.final_epoch,
+        report.epochs_observed()
     );
     println!(
         "audited {} loaded snapshots; obs: {} publishes / {} loads",
@@ -78,16 +89,16 @@ fn main() {
     // -- The acceptance assertions -----------------------------------------
     assert_eq!(report.readers.len(), readers, "expected {readers} concurrent readers");
     assert!(
-        report.epochs_observed.len() >= 2,
+        report.epochs_observed().len() >= 2,
         "readers never saw a republish: epochs {:?}",
-        report.epochs_observed
+        report.epochs_observed()
     );
-    assert!(report.publishes >= 2, "trainer republished only {} times", report.publishes);
+    assert!(trained.publishes >= 2, "trainer republished only {} times", trained.publishes);
     for (i, r) in report.readers.iter().enumerate() {
         assert!(r.answered > 0, "reader {i} served nothing");
         assert_eq!(
             r.epochs.last(),
-            Some(&report.final_epoch),
+            Some(&trained.final_epoch),
             "reader {i} never drained the final snapshot"
         );
     }
@@ -96,7 +107,7 @@ fn main() {
     // snapshot only when the epoch moved, audits exactly then, and every
     // answered batch rode an audited pin.
     assert_eq!(report.audited(), report.batches(), "unaudited snapshot load");
-    assert_eq!(report.counters.get(obs::Counter::SnapshotPublishes), report.publishes);
+    assert_eq!(report.counters.get(obs::Counter::SnapshotPublishes), trained.publishes);
     assert_eq!(report.counters.get(obs::Counter::SnapshotLoads), report.engine.pins);
     assert_eq!(report.engine.audits, report.engine.pins, "every fresh pin audited");
 

@@ -1,16 +1,17 @@
 //! Acceptance demo for the serving telemetry tier: mergeable latency
 //! histograms, the per-epoch timeline exporter, and the flight recorder.
 //!
-//! Part one runs `serve_concurrent` with metrics forced on and prints the
-//! epoch-aligned timeline — human table and machine JSON — asserting the
-//! batch-estimate latency distribution is non-degenerate (real quantiles,
-//! p50 ≤ p99 ≤ p999, every batch accounted for) and that the mergeable
-//! histograms rode the provenance snapshot through the report.
+//! Part one runs `serve_training` on one volatile tenant with metrics
+//! forced on and prints the epoch-aligned timeline — human table and
+//! machine JSON — asserting the batch-estimate latency distribution is
+//! non-degenerate (real quantiles, p50 ≤ p99 ≤ p999, every batch accounted
+//! for) and that the mergeable histograms rode the provenance snapshot
+//! through the report.
 //!
-//! Part two fault-injects a `serve_durable` run (byte-budget `FaultVfs`)
-//! with the flight recorder forced on: the store poisoning must leave a
-//! black-box dump whose final entries are the absorbs leading into the
-//! crash, capped by the `store_poisoned` event itself.
+//! Part two fault-injects a durable `serve_training` run (byte-budget
+//! `FaultVfs`) with the flight recorder forced on: the store poisoning
+//! must leave a black-box dump whose final entries are the absorbs
+//! leading into the crash, capped by the `store_poisoned` event itself.
 //!
 //! ```text
 //! STH_METRICS=1 STH_FLIGHT=1 cargo run --release --example telemetry
@@ -18,11 +19,26 @@
 
 use std::sync::Arc;
 
-use sth::eval::{serve_concurrent, serve_durable, ServeConfig};
+use sth::eval::{
+    serve_training, Registry, ServeConfig, ServeReport, TenantKey, TenantRuntime, Trainer,
+};
 use sth::platform::{obs, par};
 use sth::prelude::*;
 use sth::store::vfs::{FaultVfs, MemVfs, Vfs};
-use sth::store::{DurableTrainer, StoreConfig};
+use sth::store::{DurableTrainer, StoreConfig, StoreError};
+
+/// Trains and serves one tenant through a fresh registry.
+fn serve_one(
+    trainer: Trainer<'_>,
+    train: &Workload,
+    serve: &Workload,
+    engine: &KdCountTree,
+    cfg: &ServeConfig,
+) -> Result<ServeReport, StoreError> {
+    let key = TenantKey::new("cross", vec![0, 1]);
+    let tenant = TenantRuntime { key, trainer, train, serve, counter: engine };
+    serve_training(&mut Registry::new(), vec![tenant], cfg)
+}
 
 fn main() {
     obs::force_metrics(true);
@@ -41,18 +57,20 @@ fn main() {
         .generate(data.domain(), None);
     let (train, serve) = wl.split_train(600);
 
-    let cfg = ServeConfig { readers, batch: 32, republish_every: 40 };
-    let report = serve_concurrent(&mut hist, &train, &serve, &engine, &cfg);
+    let cfg = ServeConfig { readers, batch: 32, republish_every: 40, trainer_workers: 1 };
+    let report =
+        serve_one(Trainer::Volatile(&mut hist), &train, &serve, &engine, &cfg).expect("no store");
+    let timeline = &report.tenants[0].timeline;
 
     println!(
-        "serve_concurrent: {} estimates in {} batches, {} epochs\n",
+        "serve_training: {} estimates in {} batches, {} epochs\n",
         report.answered(),
         report.batches(),
-        report.final_epoch
+        report.tenants[0].final_epoch
     );
-    println!("{}", report.timeline.render_table());
+    println!("{}", timeline.render_table());
 
-    let all = report.timeline.batch_ns_overall();
+    let all = timeline.batch_ns_overall();
     println!(
         "batch-estimate latency overall: n={} p50={}ns p90={}ns p99={}ns p999={}ns max={}ns",
         all.count(),
@@ -79,16 +97,13 @@ fn main() {
     );
     // Timeline rows are contiguous 1..=final_epoch and account for every
     // batch and estimate.
-    assert_eq!(report.timeline.rows.len() as u64, report.final_epoch);
-    assert_eq!(report.timeline.batches(), report.batches());
-    assert_eq!(
-        report.timeline.rows.iter().map(|r| r.answered).sum::<u64>(),
-        report.answered()
-    );
+    assert_eq!(timeline.rows.len() as u64, report.tenants[0].final_epoch);
+    assert_eq!(timeline.batches(), report.batches());
+    assert_eq!(timeline.rows.iter().map(|r| r.answered).sum::<u64>(), report.answered());
     // 32-query batches ride the lane kernel; with metrics on, the timeline
     // sees the kernel counters.
     assert!(
-        report.timeline.rows.iter().map(|r| r.kernel_calls).sum::<u64>() > 0,
+        timeline.rows.iter().map(|r| r.kernel_calls).sum::<u64>() > 0,
         "kernel-sized batches must surface kernel calls in the timeline"
     );
     // The mergeable histograms ride the obs snapshot: the engine records
@@ -106,7 +121,7 @@ fn main() {
     );
     assert!(report.counters.hist(obs::HistKind::RefineNs).count() > 0);
 
-    let json = report.timeline.to_json();
+    let json = timeline.to_json();
     assert!(json.starts_with("[{\"epoch\": 1"));
     println!("\ntimeline json: {json}\n");
 
@@ -115,7 +130,7 @@ fn main() {
     // byte budget so the store poisons itself mid-run.
     let store_cfg =
         StoreConfig { flush_every_deltas: 6, flush_every_bytes: u64::MAX, retain_generations: 2 };
-    let serve_cfg = ServeConfig { readers: 2, batch: 8, republish_every: 10 };
+    let serve_cfg = ServeConfig { readers: 2, batch: 8, republish_every: 10, trainer_workers: 1 };
 
     let ref_mem = Arc::new(MemVfs::new());
     let ref_vfs = Arc::new(FaultVfs::unlimited(ref_mem));
@@ -126,8 +141,8 @@ fn main() {
         build_uninitialized(&data, 64),
     )
     .expect("create reference trainer");
-    serve_durable(&mut reference, &train, &serve, &engine, &serve_cfg)
-        .expect("reference serve_durable");
+    serve_one(Trainer::Durable(&mut reference), &train, &serve, &engine, &serve_cfg)
+        .expect("reference serve_training");
     let total_cost = ref_vfs.consumed();
 
     let mem = Arc::new(MemVfs::new());
@@ -139,7 +154,7 @@ fn main() {
         build_uninitialized(&data, 64),
     )
     .expect("create fault-injected trainer");
-    let died = serve_durable(&mut trainer, &train, &serve, &engine, &serve_cfg);
+    let died = serve_one(Trainer::Durable(&mut trainer), &train, &serve, &engine, &serve_cfg);
     assert!(died.is_err(), "half the write budget must poison the store");
 
     let dump = obs::flight::last_dump().expect("poisoning must dump the flight recorder");

@@ -8,8 +8,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Tests that must run and pass; raise it when adding tests, so coverage
-# cannot shrink silently (e.g. a root-only `cargo test`).
-TEST_FLOOR=450
+# cannot shrink silently (e.g. a root-only `cargo test`). Lower it only
+# by tests deleted together with the code they cover, or by duplicate
+# registrations removed (see the check below).
+TEST_FLOOR=457
 
 test_log="$(mktemp -t sth_verify_tests.XXXXXX.log)"
 trace_log="$(mktemp -t sth_verify_trace.XXXXXX.jsonl)"
@@ -24,6 +26,17 @@ if (( passed < TEST_FLOOR )); then
     exit 1
 fi
 echo "verify: $passed tests passed (floor $TEST_FLOOR)"
+
+# Every test is registered once per binary. A name listed twice runs twice
+# and counts twice toward the floor — what a `check!` property that also
+# writes its own `#[test]` does (the macro adds the attribute itself).
+dups="$(cargo test --offline -- --list 2>/dev/null \
+    | awk '/: test$/ { if (seen[bin, $0]++) print } /^[0-9]+ tests?, / { bin++ }')"
+if [[ -n "$dups" ]]; then
+    echo "verify: test names registered twice within one binary:" >&2
+    echo "$dups" >&2
+    exit 1
+fi
 cargo build --examples --offline
 
 # Observability acceptance: run the demo with audit mode on and tracing to
@@ -80,6 +93,16 @@ echo "verify: telemetry example OK"
 # goodput of one-request-per-service at equal thread count.
 cargo run -q --release --offline --example reactor
 echo "verify: reactor example OK"
+
+# Benchmark smoke run: builds the standalone benchmark package against the
+# workspace crates and runs every workload briefly. `--locked` fails
+# loudly if a change to any crate's normal dependencies would rewrite the
+# benchmark's `Cargo.lock`; the benchmark exits non-zero unless every
+# workload is correct with no failed operations. It is also the only
+# tier-1 step that compiles the APIs the benchmark imports.
+cargo run --locked --release --offline -q \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke > /dev/null
+echo "verify: benchmark smoke run OK"
 
 # Opt-in perf stage (not tier-1): smoke-run the core_ops benches and fail
 # on large median regressions against the committed baseline.
