@@ -11,17 +11,7 @@ use sth_index::KdCountTree;
 use sth_mineclus::{MineClus, MineClusConfig};
 use sth_query::{SelfTuning, WorkloadSpec};
 
-/// FNV-1a over the serialized histogram.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn run_gauss_simulation() -> Vec<u8> {
+fn run_gauss_simulation() -> u64 {
     let ds = GaussSpec::paper().scaled(0.02).generate();
     let tree = KdCountTree::build(&ds);
     let mineclus = MineClus::new(MineClusConfig::default());
@@ -32,20 +22,18 @@ fn run_gauss_simulation() -> Vec<u8> {
         h.refine(q.rect(), &tree);
     }
     h.check_invariants().expect("invariants after simulation");
-    h.to_bytes()
+    h.golden_hash()
 }
 
-/// Pinned digest of the MineClus-initialized 400-query Gauss simulation
+/// Pinned golden hash of the MineClus-initialized 400-query Gauss simulation
 /// at budget 100; re-pin only on an intentional algorithm change.
 const GOLDEN_GAUSS_FNV1A: u64 = 0xe4547a7dd6a5769f;
 
 #[test]
 fn gauss_refine_matches_golden_hash() {
-    let a = run_gauss_simulation();
+    let golden = run_gauss_simulation();
     assert_eq!(
-        fnv1a(&a),
-        GOLDEN_GAUSS_FNV1A,
-        "refine outcome drifted from the pinned golden hash (got {:#018x})",
-        fnv1a(&a)
+        golden, GOLDEN_GAUSS_FNV1A,
+        "refine outcome drifted from the pinned golden hash (got {golden:#018x})"
     );
 }

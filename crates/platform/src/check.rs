@@ -425,17 +425,6 @@ where
     }
 }
 
-/// FNV-1a over the test name, so each property gets its own seed stream
-/// under one master seed.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Runs `cases` random cases of the property `f` over inputs from
 /// `strat`, shrinking and reporting the first failure. Used through the
 /// [`crate::check!`] macro.
@@ -457,7 +446,9 @@ where
         .ok()
         .and_then(|v| parse_seed(&v))
         .unwrap_or(0x5EED_0F_57_B0_15);
-    let mut seeder = Rng::seed_from_u64(master ^ fnv1a(name.as_bytes()));
+    // FNV-1a over the test name: each property gets its own seed stream
+    // under one master seed.
+    let mut seeder = Rng::seed_from_u64(master ^ crate::codec::fnv1a(name.as_bytes()));
     for case in 0..cases {
         let mut case_rng = Rng::seed_from_u64(seeder.next_u64());
         let seed = strat.seed(&mut case_rng);

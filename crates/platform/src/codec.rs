@@ -1,8 +1,8 @@
 //! Hand-rolled binary codec helpers shared by every on-disk format.
 //!
 //! The workspace's hermetic-build policy rules out serde and format
-//! crates, so each persistent structure (`StHoles` catalogs, frozen
-//! snapshots, the durable store's delta log and manifest) encodes itself
+//! crates, so each persistent structure (the `StHoles` image, the durable
+//! store's snapshot files, delta log and manifest) encodes itself
 //! with the same little-endian conventions. This module is the one place
 //! those conventions live:
 //!
@@ -222,12 +222,6 @@ impl<'a> ByteReader<'a> {
         }
         Ok(v)
     }
-
-    /// Reads `n` packed `f64` values into a fresh vector.
-    pub fn f64_vec(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
-        let raw = self.take(n * 8)?;
-        Ok(raw.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
-    }
 }
 
 /// The IEEE CRC-32 lookup table (reflected polynomial `0xEDB88320`),
@@ -316,10 +310,9 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.f64().unwrap(), -1234.5);
-        let vs = r.f64_vec(3).unwrap();
-        assert_eq!(vs[0].to_bits(), 0.0f64.to_bits());
-        assert_eq!(vs[1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(vs[2], 1.5e300);
+        assert_eq!(r.f64().unwrap().to_bits(), 0.0f64.to_bits());
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.f64().unwrap(), 1.5e300);
         assert_eq!(r.take(4).unwrap(), b"tail");
         assert!(r.expect_exhausted().is_ok());
     }
@@ -332,7 +325,7 @@ mod tests {
         assert_eq!(r.pos(), 0);
         assert_eq!(r.u8().unwrap(), 1);
         assert!(r.u64().is_err());
-        assert!(r.f64_vec(1).is_err());
+        assert!(r.f64().is_err());
     }
 
     #[test]

@@ -1,29 +1,49 @@
-//! Compact binary persistence for [`StHoles`].
+//! Binary persistence for [`StHoles`]: one codec, the verbatim process
+//! image (`STI1`).
 //!
-//! Query optimizers keep their synopses in the catalog; this module gives
-//! the histogram a stable, dependency-free on-disk representation (the
-//! approved offline crate set has no serde *format* crate, so the codec is
-//! hand-rolled little-endian).
+//! Query optimizers keep their synopses in the catalog, and an STHoles
+//! synopsis keeps learning from query feedback after it is stored. So the
+//! encoding captures the arena **verbatim**: every slot in place (freed
+//! slots included, as explicit gaps), the free list in pop order, children
+//! lists in order, plus config, root, domain and the frozen flag. The
+//! merge search breaks penalty ties in ascending *slot* order, and
+//! zero-penalty ties between empty buckets are common, so a decoder that
+//! renumbered slots could legally pick a different (equally cheap) merge
+//! than the original would have, and the two states would drift apart.
+//! Decoding the image reconstructs the exact process state instead:
+//! replaying the same refinement stream produces bit for bit the same
+//! histogram, including every tie-breaking decision. `sth-store` proves
+//! this with crash-at-every-offset golden-hash tests.
 //!
-//! Layout: magic, version, domain, config, then the bucket tree in
-//! pre-order (id remapping makes the encoding independent of arena slot
-//! history, so logically equal histograms encode identically).
+//! Pure acceleration state (merge heaps, scratch buffers, cached hulls)
+//! is *not* stored: it is rebuilt lazily and contractually changes no
+//! results (`best_merge` ≡ `best_merge_exhaustive`, hulls only prune).
 //!
-//! The little-endian primitives and the checksum live in
-//! [`sth_platform::codec`], shared with the frozen-snapshot codec
-//! ([`crate::FrozenHistogram::to_bytes`]) and the durable store's log and
-//! manifest formats.
+//! Identity is a separate concern: [`StHoles::golden_hash`] hashes a
+//! canonical pre-order walk (`STH1` layout, slots renumbered in walk
+//! order), so logically equal histograms hash equal whatever their slot
+//! history. That byte stream is never decoded.
+//!
+//! The little-endian primitives and the hash live in
+//! [`sth_platform::codec`], shared with the durable store's snapshot, log
+//! and manifest formats.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use sth_geometry::Rect;
 use sth_platform::codec::{ByteReader, ByteWriter, CodecError};
+use sth_query::SelfTuning;
 
 use crate::{Bucket, BucketArena, BucketId, MergePolicy, StHoles, SthConfig};
 
-const MAGIC: &[u8; 4] = b"STH1";
+const MAGIC: &[u8; 4] = b"STI1";
+/// Magic of the canonical walk behind [`StHoles::golden_hash`].
+const GOLDEN_MAGIC: &[u8; 4] = b"STH1";
 const VERSION: u8 = 1;
+
+/// Largest slot count the decoder accepts; guards allocation against
+/// hostile length fields.
+const MAX_SLOTS: usize = 1 << 24;
 
 /// Errors produced by [`StHoles::from_bytes`].
 #[derive(Debug, PartialEq, Eq)]
@@ -54,14 +74,14 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-pub(crate) fn put_rect(out: &mut ByteWriter, r: &Rect) {
+fn put_rect(out: &mut ByteWriter, r: &Rect) {
     for d in 0..r.ndim() {
         out.f64(r.lo()[d]);
         out.f64(r.hi()[d]);
     }
 }
 
-pub(crate) fn get_rect(r: &mut ByteReader<'_>, dim: usize) -> Result<Rect, DecodeError> {
+fn get_rect(r: &mut ByteReader<'_>, dim: usize) -> Result<Rect, DecodeError> {
     let mut lo = vec![0.0; dim];
     let mut hi = vec![0.0; dim];
     for d in 0..dim {
@@ -72,13 +92,12 @@ pub(crate) fn get_rect(r: &mut ByteReader<'_>, dim: usize) -> Result<Rect, Decod
 }
 
 impl StHoles {
-    /// Encodes the histogram into a self-contained byte buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = ByteWriter::with_capacity(64 + 64 * self.bucket_count());
-        out.bytes(MAGIC);
+    /// The header both layouts share: magic, version, domain, config.
+    fn put_header(&self, out: &mut ByteWriter, magic: &[u8; 4]) {
+        out.bytes(magic);
         out.u8(VERSION);
         out.u32(self.domain().ndim() as u32);
-        put_rect(&mut out, self.domain());
+        put_rect(out, self.domain());
         out.u32(self.config.budget as u32);
         out.f64(self.config.min_hole_volume_frac);
         out.u8(match self.config.merge_policy {
@@ -90,38 +109,75 @@ impl StHoles {
             None => out.u32(u32::MAX),
             Some(c) => out.u32(c as u32),
         }
-        // Pre-order bucket stream with remapped ids: parent, rect, freq.
-        out.u32((self.bucket_count() + 1) as u32);
-        let mut order: Vec<BucketId> = Vec::with_capacity(self.bucket_count() + 1);
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            order.push(id);
-            stack.extend(self.arena().get(id).children.iter().rev());
+    }
+
+    /// Encodes the histogram as a verbatim process image: the exact arena
+    /// slot layout, free list, and children order, so a decoded histogram
+    /// replays future refinements bit-identically (see the module docs).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let arena = self.arena();
+        let mut out = ByteWriter::with_capacity(64 + 64 * arena.slot_count());
+        self.put_header(&mut out, MAGIC);
+        out.u32(self.root() as u32);
+        out.u32(self.bucket_count() as u32);
+        out.u8(self.frozen() as u8);
+
+        out.u32(arena.slot_count() as u32);
+        for i in 0..arena.slot_count() {
+            match arena.slot(i) {
+                None => out.u8(0),
+                Some(b) => {
+                    out.u8(1);
+                    put_rect(&mut out, &b.rect);
+                    out.f64(b.freq);
+                    out.u32(b.parent.map_or(u32::MAX, |p| p as u32));
+                    out.len_u32(b.children.len());
+                    for &c in &b.children {
+                        out.u32(c as u32);
+                    }
+                }
+            }
         }
-        let remap: HashMap<BucketId, u32> =
-            order.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
-        for &id in &order {
-            let b = self.arena().get(id);
-            let parent = b.parent.map_or(u32::MAX, |p| remap[&p]);
-            out.u32(parent);
-            put_rect(&mut out, &b.rect);
-            out.f64(b.freq);
+        out.len_u32(arena.free_list().len());
+        for &f in arena.free_list() {
+            out.u32(f as u32);
         }
         out.into_bytes()
     }
 
-    /// 64-bit FNV-1a hash of [`StHoles::to_bytes`]: the canonical golden
-    /// hash of the histogram's logical state. Two histograms hash equal
-    /// iff their bucket trees, frequencies and configs are identical —
-    /// the identity check behind the durable store's bit-identical
-    /// recovery proof.
+    /// 64-bit FNV-1a hash of the histogram's logical state: the golden
+    /// hash behind the durable store's bit-identical recovery proof.
+    ///
+    /// Hashes the canonical `STH1` walk (header, then every bucket in
+    /// pre-order as parent number, rect, frequency), not
+    /// [`StHoles::to_bytes`]: two histograms hash equal iff their bucket
+    /// trees, frequencies and configs are identical, whatever the arena
+    /// slots or the frozen flag.
     pub fn golden_hash(&self) -> u64 {
-        sth_platform::codec::fnv1a(&self.to_bytes())
+        let mut out = ByteWriter::with_capacity(64 + 64 * self.bucket_count());
+        self.put_header(&mut out, GOLDEN_MAGIC);
+        out.u32((self.bucket_count() + 1) as u32);
+        // Buckets are numbered in pop order; each stack entry carries its
+        // parent's number.
+        let mut next = 0u32;
+        let mut stack = vec![(self.root(), u32::MAX)];
+        while let Some((id, parent)) = stack.pop() {
+            let b = self.arena().get(id);
+            out.u32(parent);
+            put_rect(&mut out, &b.rect);
+            out.f64(b.freq);
+            stack.extend(b.children.iter().rev().map(|&c| (c, next)));
+            next += 1;
+        }
+        sth_platform::codec::fnv1a(out.as_bytes())
     }
 
-    /// Decodes a histogram previously produced by [`StHoles::to_bytes`].
-    /// The decoded tree is validated with
-    /// [`StHoles::check_invariants`].
+    /// Decodes a process image produced by [`StHoles::to_bytes`].
+    ///
+    /// Total over arbitrary bytes: every structural claim in the input
+    /// (slot references, free-list entries, linkage, tree shape) is
+    /// validated, ending with [`StHoles::check_invariants`], so corrupt
+    /// input yields `Err`, never a panic or an inconsistent histogram.
     pub fn from_bytes(bytes: &[u8]) -> Result<StHoles, DecodeError> {
         let mut r = ByteReader::new(bytes);
         if r.take(4)? != MAGIC {
@@ -148,206 +204,102 @@ impl StHoles {
         let sibling_neighbor_cap = if cap == u32::MAX { None } else { Some(cap as usize) };
         let config =
             SthConfig { budget, min_hole_volume_frac, merge_policy, sibling_neighbor_cap };
+        let root = r.u32()? as usize;
+        let nonroot_count = r.u32()? as usize;
+        let frozen = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return Err(DecodeError::Corrupt("bad frozen flag")),
+        };
 
-        let count = r.u32()? as usize;
-        if count == 0 {
-            return Err(DecodeError::Corrupt("no buckets"));
+        let slot_count = r.count_u32(MAX_SLOTS, "implausible slot count")?;
+        let mut slots: Vec<Option<Bucket>> = Vec::with_capacity(slot_count);
+        let mut live = 0usize;
+        for _ in 0..slot_count {
+            match r.u8()? {
+                0 => slots.push(None),
+                1 => {
+                    let rect = get_rect(&mut r, dim)?;
+                    let freq = r.finite_f64("non-finite frequency")?;
+                    if freq < 0.0 {
+                        return Err(DecodeError::Corrupt("negative frequency"));
+                    }
+                    let parent_raw = r.u32()?;
+                    let parent = if parent_raw == u32::MAX {
+                        None
+                    } else {
+                        Some(parent_raw as BucketId)
+                    };
+                    let n_children = r.count_u32(slot_count, "implausible child count")?;
+                    let mut children = Vec::with_capacity(n_children);
+                    for _ in 0..n_children {
+                        children.push(r.u32()? as BucketId);
+                    }
+                    slots.push(Some(Bucket { rect, freq, parent, children }));
+                    live += 1;
+                }
+                _ => return Err(DecodeError::Corrupt("bad slot tag")),
+            }
         }
-        let mut arena = BucketArena::new();
-        let mut ids = Vec::with_capacity(count);
-        for i in 0..count {
-            let parent_idx = r.u32()?;
-            let rect = get_rect(&mut r, dim)?;
-            let freq = r.finite_f64("non-finite frequency")?;
-            if freq < 0.0 {
-                return Err(DecodeError::Corrupt("negative frequency"));
-            }
-            let parent = if parent_idx == u32::MAX {
-                if i != 0 {
-                    return Err(DecodeError::Corrupt("multiple roots"));
-                }
-                None
-            } else {
-                let p = parent_idx as usize;
-                if p >= i {
-                    return Err(DecodeError::Corrupt("parent not before child (not pre-order)"));
-                }
-                Some(ids[p])
-            };
-            let id = arena.alloc(Bucket::leaf(rect, freq, parent));
-            if let Some(p) = parent {
-                arena.get_mut(p).children.push(id);
-            }
-            ids.push(id);
+        let free_count = r.count_u32(slot_count, "implausible free count")?;
+        let mut free = Vec::with_capacity(free_count);
+        for _ in 0..free_count {
+            free.push(r.u32()? as BucketId);
         }
         r.expect_exhausted()?;
-        let hist = StHoles::assemble(arena, ids[0], config, count - 1, domain);
+
+        // Structural validation before arena assembly: every reference
+        // must land on a slot of the right liveness, exactly once.
+        if live + free.len() != slot_count {
+            return Err(DecodeError::Corrupt("free list does not cover dead slots"));
+        }
+        let mut seen_free = vec![false; slot_count];
+        for &f in &free {
+            if f >= slot_count || slots[f].is_some() || seen_free[f] {
+                return Err(DecodeError::Corrupt("bad free-list entry"));
+            }
+            seen_free[f] = true;
+        }
+        if live == 0 || root >= slot_count || slots[root].is_none() {
+            return Err(DecodeError::Corrupt("missing root"));
+        }
+        if nonroot_count != live - 1 {
+            return Err(DecodeError::Corrupt("bucket count mismatch"));
+        }
+        let mut child_of = vec![usize::MAX; slot_count];
+        for (i, slot) in slots.iter().enumerate() {
+            let Some(b) = slot else { continue };
+            match b.parent {
+                None if i != root => return Err(DecodeError::Corrupt("multiple roots")),
+                Some(p) if p >= slot_count || slots[p].is_none() => {
+                    return Err(DecodeError::Corrupt("dangling parent reference"))
+                }
+                _ => {}
+            }
+            for &c in &b.children {
+                if c >= slot_count || slots[c].is_none() || c == i || child_of[c] != usize::MAX {
+                    return Err(DecodeError::Corrupt("bad child reference"));
+                }
+                if slots[c].as_ref().unwrap().parent != Some(i) {
+                    return Err(DecodeError::Corrupt("parent/child link mismatch"));
+                }
+                child_of[c] = i;
+            }
+        }
+        // Reachability: every non-root live slot must hang off the tree
+        // (check_invariants walks from the root, so an orphan cycle would
+        // otherwise go unnoticed).
+        for (i, slot) in slots.iter().enumerate() {
+            if slot.is_some() && i != root && child_of[i] == usize::MAX {
+                return Err(DecodeError::Corrupt("orphan bucket"));
+            }
+        }
+
+        let arena = BucketArena::from_slots(slots, free);
+        let mut hist = StHoles::assemble(arena, root, config, nonroot_count, domain);
+        hist.set_frozen(frozen);
         hist.check_invariants().map_err(|_| DecodeError::Corrupt("invariant violation"))?;
         Ok(hist)
-    }
-}
-
-const FROZEN_MAGIC: &[u8; 4] = b"STF1";
-const FROZEN_VERSION: u8 = 1;
-
-// Section tags of the frozen columnar format.
-const SEC_BOUNDS: u8 = 1;
-const SEC_HULLS: u8 = 2;
-const SEC_FREQS: u8 = 3;
-const SEC_CHILDREN: u8 = 4;
-
-/// Largest node count [`FrozenHistogram::from_bytes`] will decode; guards
-/// allocation against hostile length fields (a real snapshot is bounded
-/// by the bucket budget, far below this).
-const MAX_FROZEN_NODES: usize = 1 << 24;
-
-impl crate::FrozenHistogram {
-    /// Encodes the snapshot into a self-contained, versioned byte buffer:
-    /// magic + header, then one length-prefixed, CRC-checksummed section
-    /// per column (`bounds`, `hulls`, `freqs`, child ranges).
-    ///
-    /// The encoding is **canonical**: the snapshot arrays are the BFS
-    /// flattening of the logical bucket tree, so two frozen histograms of
-    /// logically equal trees encode identically regardless of the live
-    /// arena's slot history — the same id-remapping guarantee as
-    /// [`StHoles::to_bytes`]. Derived columns (volumes, own volumes,
-    /// depth) are *not* stored; [`FrozenHistogram::from_bytes`] recomputes
-    /// them with the same arithmetic, bit for bit.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use sth_platform::codec::write_section;
-        let count = self.vols.len();
-        let span = 2 * self.ndim;
-        let mut out = ByteWriter::with_capacity(32 + count * (2 * span + 1) * 8);
-        out.bytes(FROZEN_MAGIC);
-        out.u8(FROZEN_VERSION);
-        out.u32(self.ndim as u32);
-        out.u32(count as u32);
-
-        let mut col = ByteWriter::with_capacity(count * span * 8);
-        col.f64_slice(&self.bounds);
-        write_section(&mut out, SEC_BOUNDS, col.as_bytes());
-
-        let mut col = ByteWriter::with_capacity(count * span * 8);
-        col.f64_slice(&self.hulls);
-        write_section(&mut out, SEC_HULLS, col.as_bytes());
-
-        let mut col = ByteWriter::with_capacity(count * 8);
-        col.f64_slice(&self.freqs);
-        write_section(&mut out, SEC_FREQS, col.as_bytes());
-
-        // BFS layout: child ranges tile 1..count in node order, so the
-        // start cursor is derivable and only the ends are stored.
-        let mut col = ByteWriter::with_capacity(count * 4);
-        for &e in &self.child_end {
-            col.u32(e);
-        }
-        write_section(&mut out, SEC_CHILDREN, col.as_bytes());
-        out.into_bytes()
-    }
-
-    /// Decodes a snapshot produced by [`FrozenHistogram::to_bytes`],
-    /// verifying every section checksum and the full structural
-    /// invariants ([`FrozenHistogram::check_invariants`]) before handing
-    /// the snapshot out — arbitrary bytes can never yield a snapshot
-    /// that would panic or misestimate at serve time.
-    pub fn from_bytes(bytes: &[u8]) -> Result<crate::FrozenHistogram, DecodeError> {
-        use sth_platform::codec::read_section;
-        let mut r = ByteReader::new(bytes);
-        if r.take(4)? != FROZEN_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != FROZEN_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let ndim = r.u32()? as usize;
-        if ndim == 0 || ndim > 1024 {
-            return Err(DecodeError::Corrupt("implausible dimensionality"));
-        }
-        let count = r.count_u32(MAX_FROZEN_NODES, "implausible node count")?;
-        if count == 0 {
-            return Err(DecodeError::Corrupt("no nodes"));
-        }
-        let span = 2 * ndim;
-
-        let payload = read_section(&mut r, SEC_BOUNDS)?;
-        if payload.len() != count * span * 8 {
-            return Err(DecodeError::Corrupt("bounds section length mismatch"));
-        }
-        let bounds = ByteReader::new(payload).f64_vec(count * span)?;
-
-        let payload = read_section(&mut r, SEC_HULLS)?;
-        if payload.len() != count * span * 8 {
-            return Err(DecodeError::Corrupt("hulls section length mismatch"));
-        }
-        let hulls = ByteReader::new(payload).f64_vec(count * span)?;
-
-        let payload = read_section(&mut r, SEC_FREQS)?;
-        if payload.len() != count * 8 {
-            return Err(DecodeError::Corrupt("freqs section length mismatch"));
-        }
-        let freqs = ByteReader::new(payload).f64_vec(count)?;
-
-        let payload = read_section(&mut r, SEC_CHILDREN)?;
-        if payload.len() != count * 4 {
-            return Err(DecodeError::Corrupt("child section length mismatch"));
-        }
-        let mut cr = ByteReader::new(payload);
-        let mut child_start = Vec::with_capacity(count);
-        let mut child_end = Vec::with_capacity(count);
-        let mut cursor = 1u32;
-        for _ in 0..count {
-            let end = cr.u32()?;
-            if end < cursor || end as usize > count {
-                return Err(DecodeError::Corrupt("bad child range"));
-            }
-            child_start.push(cursor);
-            child_end.push(end);
-            cursor = end;
-        }
-        if cursor as usize != count {
-            return Err(DecodeError::Corrupt("child ranges do not tile the node set"));
-        }
-        r.expect_exhausted()?;
-
-        // Derived columns, recomputed with the freeze-time arithmetic so a
-        // decoded snapshot is bit-identical to the one that was encoded.
-        let vols: Vec<f64> =
-            (0..count).map(|i| crate::FrozenHistogram::packed_volume(&bounds[i * span..(i + 1) * span])).collect();
-        let own_vols: Vec<f64> = (0..count)
-            .map(|i| {
-                let mut v = vols[i];
-                for c in child_start[i]..child_end[i] {
-                    v -= vols[c as usize];
-                }
-                v.max(0.0)
-            })
-            .collect();
-        let mut depth = vec![0usize; count];
-        for i in 0..count {
-            for c in child_start[i]..child_end[i] {
-                depth[c as usize] = depth[i] + 1;
-            }
-        }
-        let snap = crate::FrozenHistogram {
-            ndim,
-            bounds,
-            hulls,
-            vols,
-            own_vols,
-            freqs,
-            child_start,
-            child_end,
-            max_depth: depth.iter().copied().max().unwrap_or(0),
-        };
-        snap.check_invariants().map_err(|_| DecodeError::Corrupt("invariant violation"))?;
-        Ok(snap)
-    }
-
-    /// 64-bit FNV-1a hash of [`FrozenHistogram::to_bytes`] — the golden
-    /// hash of the snapshot's logical state.
-    pub fn golden_hash(&self) -> u64 {
-        sth_platform::codec::fnv1a(&self.to_bytes())
     }
 }
 
@@ -355,7 +307,7 @@ impl crate::FrozenHistogram {
 mod tests {
     use super::*;
     use sth_index::ScanCounter;
-    use sth_query::{CardinalityEstimator, SelfTuning};
+    use sth_query::CardinalityEstimator;
 
     fn trained() -> StHoles {
         let ds = sth_data::cross::CrossSpec::cross2d().scaled(0.02).generate();
@@ -383,7 +335,7 @@ mod tests {
             Rect::from_bounds(&[10.0, 10.0], &[50.0, 50.0]),
         ];
         for p in &probes {
-            assert!((h.estimate(p) - back.estimate(p)).abs() < 1e-9, "mismatch on {p}");
+            assert_eq!(h.estimate(p).to_bits(), back.estimate(p).to_bits(), "mismatch on {p}");
         }
     }
 
@@ -401,10 +353,7 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert_eq!(StHoles::from_bytes(b"nope").unwrap_err(), DecodeError::BadMagic);
-        assert_eq!(
-            StHoles::from_bytes(b"STH1\x09").unwrap_err(),
-            DecodeError::BadVersion(9)
-        );
+        assert_eq!(StHoles::from_bytes(b"STI1\x09").unwrap_err(), DecodeError::BadVersion(9));
         let mut truncated = trained().to_bytes();
         truncated.truncate(truncated.len() - 3);
         assert!(matches!(StHoles::from_bytes(&truncated).unwrap_err(), DecodeError::Corrupt(_)));
@@ -427,78 +376,32 @@ mod tests {
         let h = StHoles::with_total(Rect::cube(3, 0.0, 10.0), 5, 42.0);
         let back = StHoles::from_bytes(&h.to_bytes()).unwrap();
         assert_eq!(back.bucket_count(), 0);
-        assert!((back.estimate(&Rect::cube(3, 0.0, 10.0)) - 42.0).abs() < 1e-9);
+        assert_eq!(back.estimate(&Rect::cube(3, 0.0, 10.0)), 42.0);
     }
 
-    // ---- FrozenHistogram (STF1) -------------------------------------------
-
     #[test]
-    fn frozen_roundtrip_is_bit_identical_estimates() {
-        // Mirrors `roundtrip_preserves_estimates`, but on the frozen codec
-        // and with the stronger `to_bits` contract: the decoded snapshot
-        // replays the exact float operations of the encoded one.
-        let h = trained();
-        let f = h.freeze();
-        let bytes = f.to_bytes();
-        let back = crate::FrozenHistogram::from_bytes(&bytes).unwrap();
-        assert_eq!(back.node_count(), f.node_count());
-        let probes = [
-            Rect::from_bounds(&[0.0, 0.0], &[1000.0, 1000.0]),
-            Rect::from_bounds(&[480.0, 100.0], &[520.0, 900.0]),
-            Rect::from_bounds(&[100.0, 480.0], &[900.0, 520.0]),
-            Rect::from_bounds(&[10.0, 10.0], &[50.0, 50.0]),
+    fn golden_hash_ignores_slot_history() {
+        // The same two holes under one root, allocated in either order:
+        // the images record swapped slots, the logical trees are equal.
+        let domain = Rect::cube(2, 0.0, 100.0);
+        let holes = [
+            (Rect::from_bounds(&[0.0, 0.0], &[20.0, 20.0]), 1.0),
+            (Rect::from_bounds(&[50.0, 50.0], &[70.0, 70.0]), 2.0),
         ];
-        for p in &probes {
-            assert_eq!(
-                f.estimate(p).to_bits(),
-                back.estimate(p).to_bits(),
-                "frozen roundtrip changed the estimate for {p}"
-            );
-        }
-        // Canonical: re-encoding the decoded snapshot is byte-identical.
-        assert_eq!(back.to_bytes(), bytes);
-        assert_eq!(back.golden_hash(), f.golden_hash());
-    }
-
-    #[test]
-    fn frozen_codec_is_canonical_over_slot_history() {
-        // A persist roundtrip remaps arena slots; freezing before and
-        // after must produce identical STF1 bytes (the id-remapping
-        // canonicalization guarantee of the live codec, inherited).
-        let h = trained();
-        let back = StHoles::from_bytes(&h.to_bytes()).unwrap();
-        assert_eq!(h.freeze().to_bytes(), back.freeze().to_bytes());
-    }
-
-    #[test]
-    fn frozen_rejects_garbage_and_bitflips() {
-        assert_eq!(
-            crate::FrozenHistogram::from_bytes(b"nope").unwrap_err(),
-            DecodeError::BadMagic
-        );
-        assert_eq!(
-            crate::FrozenHistogram::from_bytes(b"STF1\x07").unwrap_err(),
-            DecodeError::BadVersion(7)
-        );
-        let bytes = trained().freeze().to_bytes();
-        let mut truncated = bytes.clone();
-        truncated.truncate(truncated.len() - 3);
-        assert!(matches!(
-            crate::FrozenHistogram::from_bytes(&truncated).unwrap_err(),
-            DecodeError::Corrupt(_)
-        ));
-        // Single-byte flips in the section payloads are caught by the
-        // per-section CRC before any structural decoding can misfire.
-        for i in (0..bytes.len()).step_by(5) {
-            let mut m = bytes.clone();
-            m[i] ^= 0xFF;
-            if m == bytes {
-                continue;
+        let build = |alloc_order: [usize; 2]| {
+            let mut arena = BucketArena::new();
+            let root = arena.alloc(Bucket::leaf(domain.clone(), 3.0, None));
+            let mut ids = [0; 2];
+            for i in alloc_order {
+                ids[i] = arena.alloc(Bucket::leaf(holes[i].0.clone(), holes[i].1, Some(root)));
             }
-            assert!(
-                crate::FrozenHistogram::from_bytes(&m).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
+            arena.get_mut(root).children = ids.to_vec();
+            let h = StHoles::assemble(arena, root, SthConfig::with_budget(8), 2, domain.clone());
+            h.check_invariants().unwrap();
+            h
+        };
+        let (ab, ba) = (build([0, 1]), build([1, 0]));
+        assert_ne!(ab.to_bytes(), ba.to_bytes());
+        assert_eq!(ab.golden_hash(), ba.golden_hash());
     }
 }

@@ -1,12 +1,14 @@
 //! Property tests for binary persistence: any trained histogram survives a
-//! roundtrip with identical estimates, and continues to learn afterwards.
+//! roundtrip with bit-identical estimates, and keeps learning afterwards
+//! exactly as the original does.
 
 use sth_platform::check::prelude::*;
+use sth_data::cross::CrossSpec;
 use sth_data::Dataset;
 use sth_geometry::Rect;
 use sth_histogram::StHoles;
 use sth_index::ScanCounter;
-use sth_query::{CardinalityEstimator, SelfTuning};
+use sth_query::{CardinalityEstimator, SelfTuning, WorkloadSpec};
 
 fn dataset(points: &[(f64, f64)]) -> Dataset {
     let xs = points.iter().map(|p| p.0).collect();
@@ -40,27 +42,39 @@ check! {
         prop_assert!(back.check_invariants().is_ok());
         prop_assert_eq!(back.bucket_count(), h.bucket_count());
         for p in &probes {
-            prop_assert!((h.estimate(p) - back.estimate(p)).abs() < 1e-9);
+            prop_assert_eq!(h.estimate(p).to_bits(), back.estimate(p).to_bits());
         }
-        // Encoding is deterministic (logical state → identical bytes).
+        // Decoding is exact: re-encoding gives the same bytes.
         prop_assert_eq!(back.to_bytes(), bytes);
     }
+}
+
+check! {
+    cases = 24;
 
     fn decoded_histogram_keeps_learning_soundly(
-        points in collection::vec((0.0f64..100.0, 0.0f64..100.0), 10..80),
-        pre in collection::vec(query_strategy(), 0..10),
-        post in collection::vec(query_strategy(), 1..10),
+        budget in 4usize..48,
+        seed in 0u64..1000,
+        warm_up in 0usize..80,
     ) {
-        let ds = dataset(&points);
+        // Merge search breaks penalty ties by arena slot, so a decoded
+        // histogram learns in lockstep with its original only if decoding
+        // restores every slot.
+        let ds = CrossSpec::cross2d().scaled(0.02).generate();
         let counter = ScanCounter::new(&ds);
-        let mut h = StHoles::with_total(Rect::cube(2, 0.0, 100.0), 8, ds.len() as f64);
-        for q in &pre {
-            h.refine(q, &counter);
+        let wl = WorkloadSpec { count: warm_up + 60, ..WorkloadSpec::paper(0.01, seed) }
+            .generate(ds.domain(), None);
+        let (warm, post) = wl.queries().split_at(warm_up);
+        let mut h = StHoles::with_total(ds.domain().clone(), budget, ds.len() as f64);
+        for q in warm {
+            h.refine(q.rect(), &counter);
         }
         let mut back = StHoles::from_bytes(&h.to_bytes()).expect("decode");
-        for q in &post {
-            back.refine(q, &counter);
-            prop_assert!(back.check_invariants().is_ok());
+        for (i, q) in post.iter().enumerate() {
+            h.refine(q.rect(), &counter);
+            back.refine(q.rect(), &counter);
+            prop_assert!(back.to_bytes() == h.to_bytes(), "diverged at query {i}");
         }
+        prop_assert!(back.check_invariants().is_ok());
     }
 }

@@ -10,17 +10,7 @@ use sth_histogram::StHoles;
 use sth_index::KdCountTree;
 use sth_query::{SelfTuning, WorkloadSpec};
 
-/// FNV-1a over the serialized histogram.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn run_simulation() -> Vec<u8> {
+fn run_simulation() -> StHoles {
     let ds = CrossSpec::cross2d().scaled(0.02).generate();
     let tree = KdCountTree::build(&ds);
     let wl = WorkloadSpec { count: 500, ..WorkloadSpec::paper(0.01, 21) }
@@ -30,10 +20,10 @@ fn run_simulation() -> Vec<u8> {
         h.refine(q.rect(), &tree);
     }
     h.check_invariants().expect("invariants after simulation");
-    h.to_bytes()
+    h
 }
 
-/// Pinned digest of the 500-query Cross simulation at budget 150. If an
+/// Pinned golden hash of the 500-query Cross simulation at budget 150. If an
 /// intentional algorithm change moves this value, re-pin it — the point
 /// of the pin is that it *only* moves when the refine algorithm changes,
 /// never from run to run.
@@ -43,22 +33,18 @@ const GOLDEN_FNV1A: u64 = 0xe211ba1d193b2176;
 fn refine_is_run_to_run_deterministic() {
     let a = run_simulation();
     let b = run_simulation();
-    assert_eq!(a, b, "two identical simulations serialized differently");
+    assert_eq!(a.to_bytes(), b.to_bytes(), "two identical simulations serialized differently");
+    let golden = a.golden_hash();
     assert_eq!(
-        fnv1a(&a),
-        GOLDEN_FNV1A,
-        "refine outcome drifted from the pinned golden hash (got {:#018x})",
-        fnv1a(&a)
+        golden, GOLDEN_FNV1A,
+        "refine outcome drifted from the pinned golden hash (got {golden:#018x})"
     );
 }
 
 #[test]
 fn roundtrip_of_simulation_result_is_stable() {
-    // Decoding and re-encoding the simulation result is also a fixpoint:
-    // persist renumbers buckets canonically, so one roundtrip must
-    // already be canonical.
-    let a = run_simulation();
-    let back = StHoles::from_bytes(&a).expect("decode");
-    let b = back.to_bytes();
-    assert_eq!(StHoles::from_bytes(&b).expect("decode").to_bytes(), b);
+    // Decoding the image restores the exact process state, so
+    // re-encoding it gives back the same bytes.
+    let a = run_simulation().to_bytes();
+    assert_eq!(StHoles::from_bytes(&a).expect("decode").to_bytes(), a);
 }

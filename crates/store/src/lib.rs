@@ -7,7 +7,7 @@
 //! plus an append-only **delta log** of the feedback absorbed since, and
 //! recovery is "load newest valid snapshot, replay the tail through the
 //! ordinary refine path". Because the snapshot is a verbatim process
-//! image (see `sth_histogram`'s `STI1` codec) and every delta carries
+//! image (`StHoles::to_bytes`) and every delta carries
 //! the exact materialized result rows, the recovered histogram is
 //! **bit-identical** to one that never crashed — the crash-matrix test
 //! proves it at every byte offset of a recorded run.
@@ -222,7 +222,8 @@ impl Store {
     }
 
     /// Recovers the store at `dir`: loads the newest snapshot that
-    /// decodes and matches its golden hash (falling back through retained
+    /// decodes, hashes to its header's golden and matches its manifest
+    /// entry's `(gen, seq, golden)` (falling back through retained
     /// generations), replays the delta tail through the refine path, and
     /// garbage-collects files the manifest no longer names.
     ///
@@ -244,15 +245,16 @@ impl Store {
         let manifest = Manifest::from_bytes(&manifest_bytes)
             .map_err(|e| StoreError::Corrupt(format!("MANIFEST: {}", e.what())))?;
 
-        // Newest snapshot that actually decodes *and* hashes right wins.
+        // Newest snapshot that decodes, hashes right *and* matches its
+        // manifest entry wins.
         let mut loaded: Option<(usize, StHoles)> = None;
         for (idx, entry) in manifest.generations.iter().enumerate().rev() {
             let path = dir.join(snap_name(entry.gen));
             let decoded = vfs
                 .read(&path)
                 .ok()
-                .and_then(|bytes| snapshot::decode_live(&bytes).ok())
-                .filter(|(head, _)| head.gen == entry.gen && head.seq == entry.seq);
+                .and_then(|bytes| snapshot::decode(&bytes).ok())
+                .filter(|(head, _)| head == entry);
             if let Some((_, hist)) = decoded {
                 loaded = Some((idx, hist));
                 break;
@@ -359,8 +361,9 @@ impl Store {
     }
 
     /// Serves a time-travel read: the frozen histogram of retained
-    /// generation `gen`, straight from its snapshot file's read-path
-    /// section (no live decode, no replay).
+    /// generation `gen`, decoded from its snapshot file (no replay). The
+    /// file must match the generation's manifest entry, golden hash
+    /// included.
     pub fn open_at_epoch(
         dir: impl AsRef<Path>,
         vfs: &dyn Vfs,
@@ -381,12 +384,12 @@ impl Store {
         let bytes = vfs
             .read(&dir.join(snap_name(gen)))
             .map_err(|e| StoreError::Corrupt(format!("unreadable snapshot {gen}: {e}")))?;
-        let (head, frozen) = snapshot::decode_frozen(&bytes)
+        let (head, hist) = snapshot::decode(&bytes)
             .map_err(|e| StoreError::Corrupt(format!("snapshot {gen}: {}", e.what())))?;
-        if head.gen != entry.gen || head.seq != entry.seq {
+        if head != entry {
             return Err(StoreError::Corrupt(format!("snapshot {gen} header disagrees with manifest")));
         }
-        Ok(frozen)
+        Ok(hist.freeze())
     }
 
     /// Durably appends one absorbed query-feedback. Call *before*
@@ -441,7 +444,8 @@ impl Store {
     fn rotate(&mut self, hist: &StHoles) -> Result<u64, StoreError> {
         let _t = obs::time_hist(obs::HistKind::StoreFlushNs);
         let gen = self.manifest.next_gen;
-        let bytes = snapshot::encode(hist, gen, self.seq);
+        let entry = GenerationEntry { gen, seq: self.seq, golden: hist.golden_hash() };
+        let bytes = snapshot::encode(hist, &entry);
         let snap = self.path(&snap_name(gen));
         if let Err(e) = self.vfs.write_atomic(&snap, &bytes) {
             self.poison("snapshot write");
@@ -454,7 +458,7 @@ impl Store {
         let mut dropped: Vec<GenerationEntry> =
             generations.iter().copied().filter(|e| e.seq > self.seq).collect();
         generations.retain(|e| e.seq <= self.seq);
-        generations.push(GenerationEntry { gen, seq: self.seq, golden: hist.golden_hash() });
+        generations.push(entry);
         if generations.len() > self.cfg.retain_generations {
             dropped.extend(generations.drain(..generations.len() - self.cfg.retain_generations));
         }

@@ -30,8 +30,9 @@ pub struct GenerationEntry {
     /// Number of deltas folded into the snapshot: the segment's records
     /// carry sequence numbers `seq + 1, seq + 2, …`.
     pub seq: u64,
-    /// FNV-1a golden hash of the snapshotted histogram's canonical
-    /// encoding; recovery verifies the decoded snapshot against it.
+    /// Golden hash of the snapshotted histogram
+    /// (`StHoles::golden_hash`); recovery and time-travel reads refuse a
+    /// snapshot whose header carries another.
     pub golden: u64,
 }
 

@@ -1,100 +1,66 @@
 //! The snapshot file: one durable generation of the histogram.
 //!
-//! A snapshot carries *two* encodings of the same state, each in its own
-//! checksummed section:
+//! A snapshot carries the histogram's **verbatim process image**
+//! ([`StHoles::to_bytes`], section `I`): exact arena slot layout, free
+//! list, and child order. Recovery decodes it because refine's merge
+//! tie-breaking depends on slot order: replaying the delta tail on
+//! anything but the exact process image would be merely equivalent, not
+//! bit-identical, to the run that never crashed. Time-travel reads decode
+//! the same image and freeze it.
 //!
-//! * the **verbatim process image** (`STI1`, section `I`) — exact arena
-//!   slot layout, free list, and child order. Recovery decodes this one,
-//!   because refine's merge tie-breaking depends on slot order: replaying
-//!   the delta tail on anything but the exact process image would be
-//!   merely equivalent, not bit-identical, to the run that never crashed.
-//! * the **frozen read-path snapshot** (`STF1`, section `F`) — the packed
-//!   immutable arrays the serving layer uses. `Store::open_at_epoch`
-//!   serves time-travel reads straight from this section without paying
-//!   for a live-tree decode.
-//!
-//! The header binds the file to its place in the lifecycle: generation
-//! number, the delta sequence it absorbs, and the golden hash of the
-//! canonical encoding. Recovery re-hashes the decoded image against the
-//! stored golden, so a snapshot that decodes to the *wrong* state (not
-//! just an undecodable one) is also caught and skipped.
+//! The header (section `H`) binds the file to its place in the lifecycle:
+//! it is the [`GenerationEntry`] the manifest files the snapshot under —
+//! generation number, the delta sequence it absorbs, and the golden hash
+//! of the histogram ([`StHoles::golden_hash`]). Decoding re-hashes the
+//! decoded image against the stored golden, so a snapshot that decodes to
+//! the *wrong* state (not just an undecodable one) is also caught, and
+//! readers compare the whole header with the manifest's entry, so a
+//! snapshot of another store is refused too.
 
-use sth_histogram::{FrozenHistogram, StHoles};
+use sth_histogram::StHoles;
 use sth_platform::codec::{read_section, write_section, ByteReader, ByteWriter, CodecError};
 
+use crate::manifest::GenerationEntry;
+
 const MAGIC: &[u8; 4] = b"SSN1";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 const SEC_HEADER: u8 = b'H';
 const SEC_IMAGE: u8 = b'I';
-const SEC_FROZEN: u8 = b'F';
 
-/// Identity of a snapshot file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnapshotHeader {
-    /// Generation number (must match the manifest entry naming the file).
-    pub gen: u64,
-    /// Deltas absorbed into this state.
-    pub seq: u64,
-    /// Golden hash of the canonical histogram encoding.
-    pub golden: u64,
-}
-
-/// Serializes `hist` as generation `gen` at delta sequence `seq`.
-pub fn encode(hist: &StHoles, gen: u64, seq: u64) -> Vec<u8> {
-    let image = hist.to_image_bytes();
-    let frozen = hist.freeze().to_bytes();
-    let mut out = ByteWriter::with_capacity(image.len() + frozen.len() + 64);
+/// Serializes `hist`, whose golden hash is `head.golden`, under `head`.
+pub fn encode(hist: &StHoles, head: &GenerationEntry) -> Vec<u8> {
+    let image = hist.to_bytes();
+    let mut out = ByteWriter::with_capacity(image.len() + 64);
     out.bytes(MAGIC);
     out.u8(VERSION);
-    let mut head = ByteWriter::with_capacity(24);
-    head.u64(gen);
-    head.u64(seq);
-    head.u64(hist.golden_hash());
-    write_section(&mut out, SEC_HEADER, head.as_bytes());
+    let mut h = ByteWriter::with_capacity(24);
+    h.u64(head.gen);
+    h.u64(head.seq);
+    h.u64(head.golden);
+    write_section(&mut out, SEC_HEADER, h.as_bytes());
     write_section(&mut out, SEC_IMAGE, &image);
-    write_section(&mut out, SEC_FROZEN, &frozen);
     out.into_bytes()
 }
 
-fn header(r: &mut ByteReader<'_>) -> Result<SnapshotHeader, CodecError> {
+/// Decodes a snapshot file, verifying section checksums and the golden
+/// hash of the decoded state.
+pub fn decode(bytes: &[u8]) -> Result<(GenerationEntry, StHoles), CodecError> {
+    let mut r = ByteReader::new(bytes);
     if r.take(4)? != MAGIC {
         return Err(CodecError::Corrupt("bad snapshot magic"));
     }
     if r.u8()? != VERSION {
         return Err(CodecError::Corrupt("unsupported snapshot version"));
     }
-    let head = read_section(r, SEC_HEADER)?;
-    let mut h = ByteReader::new(head);
-    let out = SnapshotHeader { gen: h.u64()?, seq: h.u64()?, golden: h.u64()? };
+    let mut h = ByteReader::new(read_section(&mut r, SEC_HEADER)?);
+    let head = GenerationEntry { gen: h.u64()?, seq: h.u64()?, golden: h.u64()? };
     h.expect_exhausted()?;
-    Ok(out)
-}
-
-/// Decodes the live process image, verifying section checksums and the
-/// golden hash of the decoded state.
-pub fn decode_live(bytes: &[u8]) -> Result<(SnapshotHeader, StHoles), CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let head = header(&mut r)?;
     let image = read_section(&mut r, SEC_IMAGE)?;
-    let _frozen = read_section(&mut r, SEC_FROZEN)?;
     r.expect_exhausted()?;
-    let hist =
-        StHoles::from_image_bytes(image).map_err(|_| CodecError::Corrupt("snapshot image"))?;
+    let hist = StHoles::from_bytes(image).map_err(|_| CodecError::Corrupt("snapshot image"))?;
     if hist.golden_hash() != head.golden {
         return Err(CodecError::Corrupt("snapshot golden hash mismatch"));
     }
-    Ok((head, hist))
-}
-
-/// Decodes only the frozen read-path section (for time-travel reads).
-pub fn decode_frozen(bytes: &[u8]) -> Result<(SnapshotHeader, FrozenHistogram), CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let head = header(&mut r)?;
-    let _image = read_section(&mut r, SEC_IMAGE)?;
-    let frozen = read_section(&mut r, SEC_FROZEN)?;
-    r.expect_exhausted()?;
-    let hist = FrozenHistogram::from_bytes(frozen)
-        .map_err(|_| CodecError::Corrupt("snapshot frozen section"))?;
     Ok((head, hist))
 }
 
@@ -103,7 +69,7 @@ mod tests {
     use super::*;
     use sth_geometry::Rect;
     use sth_index::ResultSetCounter;
-    use sth_query::{CardinalityEstimator, SelfTuning};
+    use sth_query::SelfTuning;
 
     fn trained() -> StHoles {
         let mut h = StHoles::with_total(Rect::cube(2, 0.0, 100.0), 8, 40.0);
@@ -118,34 +84,36 @@ mod tests {
         h
     }
 
+    fn head_of(h: &StHoles, gen: u64, seq: u64) -> GenerationEntry {
+        GenerationEntry { gen, seq, golden: h.golden_hash() }
+    }
+
     #[test]
-    fn live_and_frozen_sections_agree() {
+    fn decode_restores_header_and_image() {
         let h = trained();
-        let bytes = encode(&h, 3, 17);
-        let (head, live) = decode_live(&bytes).unwrap();
-        assert_eq!(head, SnapshotHeader { gen: 3, seq: 17, golden: h.golden_hash() });
-        assert_eq!(live.to_image_bytes(), h.to_image_bytes());
-        let (head2, frozen) = decode_frozen(&bytes).unwrap();
-        assert_eq!(head, head2);
-        for q in [Rect::cube(2, 10.0, 60.0), Rect::cube(2, 0.0, 100.0)] {
-            assert_eq!(
-                frozen.estimate(&q).to_bits(),
-                CardinalityEstimator::estimate(&h, &q).to_bits()
-            );
-        }
+        let head = head_of(&h, 3, 17);
+        let (back_head, back) = decode(&encode(&h, &head)).unwrap();
+        assert_eq!(back_head, head);
+        assert_eq!(back.to_bytes(), h.to_bytes());
+        // A header whose golden does not match the image is refused.
+        let lying = GenerationEntry { golden: head.golden ^ 1, ..head };
+        assert_eq!(
+            decode(&encode(&h, &lying)).unwrap_err(),
+            CodecError::Corrupt("snapshot golden hash mismatch")
+        );
     }
 
     #[test]
     fn bitflips_never_decode() {
-        let bytes = encode(&trained(), 1, 0);
+        let h = trained();
+        let bytes = encode(&h, &head_of(&h, 1, 0));
         for i in (0..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x20;
-            assert!(decode_live(&bad).is_err(), "live decode accepted flip at {i}");
-            assert!(decode_frozen(&bad).is_err(), "frozen decode accepted flip at {i}");
+            assert!(decode(&bad).is_err(), "decode accepted flip at {i}");
         }
         for cut in (0..bytes.len()).step_by(13) {
-            assert!(decode_live(&bytes[..cut]).is_err(), "accepted truncation at {cut}");
+            assert!(decode(&bytes[..cut]).is_err(), "accepted truncation at {cut}");
         }
     }
 }

@@ -126,7 +126,7 @@ impl DurableTrainer {
         self.store.seq()
     }
 
-    /// Golden hash of the live histogram's canonical encoding.
+    /// Golden hash of the live histogram ([`StHoles::golden_hash`]).
     pub fn golden_hash(&self) -> u64 {
         self.hist.golden_hash()
     }

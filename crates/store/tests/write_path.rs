@@ -213,6 +213,38 @@ fn a_snapshot_filed_under_the_wrong_generation_is_refused() {
 }
 
 #[test]
+fn a_snapshot_from_another_store_is_refused() {
+    let rec = record_run(14);
+    let mem = Arc::new(MemVfs::from_files(rec.files));
+    let dir = Path::new(DIR);
+    // A second store under the same flush policy, fed the same queries in
+    // reverse: its generation 4 also absorbs 12 deltas, so the snapshot's
+    // header agrees with our manifest on `(gen, seq)`, not on the golden.
+    let ds = dataset();
+    let counter = ScanCounter::new(&ds);
+    let second = Arc::new(MemVfs::new());
+    let mut other_trainer =
+        DurableTrainer::create(DIR, second.clone(), cfg(), fresh_hist(&ds)).expect("create");
+    for q in queries(14).iter().rev() {
+        other_trainer.absorb(q, &counter).expect("absorb");
+    }
+    let entry = other_trainer.store().generations().iter().find(|e| e.gen == 4).copied().unwrap();
+    assert_eq!(entry.seq, 12);
+    assert_ne!(entry.golden, rec.goldens[12]);
+    let snap4 = dir.join("snap-0000000004.sths");
+    mem.set(&snap4, second.read(&snap4).unwrap());
+    match Store::open_at_epoch(DIR, mem.as_ref(), 4) {
+        Err(StoreError::Corrupt(what)) => assert!(what.contains("disagrees"), "got {what:?}"),
+        other => panic!("expected Corrupt, got {:?}", other.err()),
+    }
+    // Recovery skips it like any damaged snapshot and replays forward.
+    let (trainer, report) = DurableTrainer::open(DIR, mem, cfg()).expect("open");
+    assert_eq!((report.loaded_gen, report.snapshots_skipped), (3, 1));
+    assert_eq!(report.seq, rec.final_seq);
+    assert_eq!(trainer.golden_hash(), rec.goldens[rec.final_seq as usize]);
+}
+
+#[test]
 fn into_parts_hands_back_the_trained_state() {
     let ds = dataset();
     let counter = ScanCounter::new(&ds);

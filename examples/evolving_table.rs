@@ -60,7 +60,7 @@ fn main() {
     // Train on the old distribution.
     let mut stale = build_uninitialized(&old_data, 80);
     run_epoch(&mut stale, &workload, &old_engine);
-    let mut decayed = StHoles::from_bytes(&stale.to_bytes()).expect("clone via persistence");
+    let mut decayed = stale.clone();
     let mut fresh = build_uninitialized(&new_data, 80);
 
     println!("histogram trained on the old table; table now replaced\n");

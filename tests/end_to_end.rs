@@ -65,7 +65,7 @@ fn full_pipeline_components_compose() {
     hist.check_invariants().unwrap();
     let restored = StHoles::from_bytes(&hist.to_bytes()).unwrap();
     for q in wl.queries().iter().take(10) {
-        assert!((restored.estimate(q.rect()) - hist.estimate(q.rect())).abs() < 1e-9);
+        assert_eq!(restored.estimate(q.rect()).to_bits(), hist.estimate(q.rect()).to_bits());
     }
 }
 
