@@ -2,7 +2,7 @@
 //! and frozen read path), hole drilling, merge search, the concurrent
 //! serve loop, the poll-based serving engine (coalesced vs single-request
 //! services), durability (delta append, snapshot flush, cold recovery),
-//! and exact range counting (k-d tree vs scan).
+//! exact range counting (k-d tree vs scan), and MineClus clustering.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,9 +10,12 @@ use std::time::Duration;
 use sth_platform::bench::{black_box, Bench};
 use sth_bench::cross_fixture;
 use sth_core::build_uninitialized;
+use sth_data::gauss::GaussSpec;
 use sth_eval::{serve_training, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
 use sth_geometry::Rect;
 use sth_index::{RangeCounter, ResultSetCounter, ScanCounter};
+use sth_mineclus::{cluster_default, mine_best_dimset};
+use sth_platform::rng::Rng;
 use sth_query::{CardinalityEstimator, Estimator, SelfTuning, WorkloadSpec};
 use sth_store::vfs::{MemVfs, Vfs};
 use sth_store::{DurableTrainer, Store, StoreConfig};
@@ -414,6 +417,30 @@ fn bench_counting(c: &mut Bench) {
     g.finish();
 }
 
+fn bench_mineclus(c: &mut Bench) {
+    // MineClus on its own: a whole clustering of a small Gauss input, and
+    // one medoid trial's mining over 10k 7-d itemsets (Sky's
+    // dimensionality), where the search runs over at most 128 distinct
+    // itemsets rather than over the points.
+    let ds = GaussSpec::paper().scaled(0.02).generate();
+    // Dimension d is in an itemset with probability 0.3 + 0.08·d.
+    let mut rng = Rng::seed_from_u64(0x5C);
+    let masks: Vec<u64> = (0..10_000)
+        .map(|_| (0..7).filter(|&d| rng.gen_bool(0.3 + 0.08 * d as f64)).map(|d| 1 << d).sum())
+        .collect();
+    let mut g = c.benchmark_group("mineclus");
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(3));
+    g.sample_size(10);
+    g.bench_function("cluster_default_gauss_2pct", |b| {
+        b.iter(|| black_box(cluster_default(&ds).len()))
+    });
+    g.bench_function("mine_best_dimset_10k_7d", |b| {
+        b.iter(|| black_box(mine_best_dimset(black_box(&masks), 7, 100, 1, 0.25)))
+    });
+    g.finish();
+}
+
 fn bench_obs_overhead(c: &mut Bench) {
     // Telemetry cost pins. The `_disabled` rows are the serving default
     // (no STH_METRICS / STH_TRACE / STH_FLIGHT): every recording entry
@@ -462,6 +489,7 @@ fn main() {
     bench_traversal(&mut c);
     bench_best_merge(&mut c);
     bench_counting(&mut c);
+    bench_mineclus(&mut c);
     bench_obs_overhead(&mut c);
     c.finish();
 }

@@ -92,7 +92,14 @@ impl DimSet {
 
     /// Dimensions in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..Self::MAX_DIMS).filter(move |&d| self.contains(d))
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let d = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                d
+            })
+        })
     }
 
     /// Dimensions as a vector.
@@ -156,6 +163,9 @@ mod tests {
     fn all_and_bounds() {
         assert_eq!(DimSet::all(6).len(), 6);
         assert_eq!(DimSet::all(64).len(), 64);
+        assert_eq!(DimSet::all(64).to_vec(), (0..64).collect::<Vec<_>>());
+        assert_eq!(DimSet::from_dims(&[63, 0]).to_vec(), vec![0, 63]);
+        assert_eq!(DimSet::EMPTY.iter().count(), 0);
     }
 
     #[test]

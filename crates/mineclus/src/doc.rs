@@ -9,7 +9,7 @@
 use sth_platform::rng::{Rng, SliceRandom};
 use sth_data::Dataset;
 
-use crate::{mu, DimSet, SubspaceCluster, SubspaceClustering};
+use crate::{mu, remove_members, DimSet, SubspaceCluster, SubspaceClustering};
 
 /// DOC parameters.
 #[derive(Clone, Debug)]
@@ -115,8 +115,7 @@ impl SubspaceClustering for Doc {
                 }
             }
             let Some((dims, members, score)) = best else { break };
-            let member_set: std::collections::HashSet<u32> = members.iter().copied().collect();
-            active.retain(|i| !member_set.contains(i));
+            remove_members(&mut active, &mut [], &members);
             clusters.push(SubspaceCluster { points: members, dims, score });
         }
         clusters.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());

@@ -36,6 +36,7 @@ pub use cluster::SubspaceCluster;
 pub use dimset::DimSet;
 pub use doc::{Doc, DocConfig};
 pub use mineclus::{cluster_default, MineClus, MineClusConfig};
+pub use mining::{mine_best_dimset, MinedSet};
 pub use proclus::{Proclus, ProclusConfig};
 
 use sth_data::Dataset;
@@ -60,9 +61,50 @@ pub fn mu(points: usize, dims: usize, beta: f64) -> f64 {
     points as f64 * (1.0 / beta).powi(dims as i32)
 }
 
+/// Removes `members`, an ascending subsequence of `active`, from `active`
+/// in one ordered pass, together with the same positions of every column
+/// in `cols` (each parallel to `active`). The clusterers keep `active`
+/// ascending, and members are collected from it in order.
+pub(crate) fn remove_members(active: &mut Vec<u32>, cols: &mut [Vec<f64>], members: &[u32]) {
+    let mut next = members.iter().peekable();
+    let mut kept = 0;
+    for j in 0..active.len() {
+        if next.next_if_eq(&&active[j]).is_some() {
+            continue;
+        }
+        active[kept] = active[j];
+        for col in cols.iter_mut() {
+            col[kept] = col[j];
+        }
+        kept += 1;
+    }
+    assert!(next.next().is_none(), "members must be an ascending subsequence of active");
+    active.truncate(kept);
+    for col in cols {
+        col.truncate(kept);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn remove_members_compacts_columns_in_order() {
+        let mut active = vec![1, 3, 4, 7, 9];
+        let mut cols = vec![vec![10.0, 30.0, 40.0, 70.0, 90.0], vec![-1.0, -3.0, -4.0, -7.0, -9.0]];
+        remove_members(&mut active, &mut cols, &[3, 7, 9]);
+        assert_eq!(active, vec![1, 4]);
+        assert_eq!(cols, vec![vec![10.0, 40.0], vec![-1.0, -4.0]]);
+        remove_members(&mut active, &mut [], &[]);
+        assert_eq!(active, vec![1, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending subsequence")]
+    fn remove_members_rejects_unordered_members() {
+        remove_members(&mut vec![1, 3, 4], &mut [], &[4, 3]);
+    }
 
     #[test]
     fn mu_tradeoff() {

@@ -5,7 +5,7 @@ use sth_platform::rng::{Rng, SliceRandom};
 use sth_data::Dataset;
 
 use crate::mining::{mine_best_dimset, supporting_points, MinedSet};
-use crate::{SubspaceCluster, SubspaceClustering};
+use crate::{remove_members, SubspaceCluster, SubspaceClustering};
 
 /// MineClus parameters, named as in the paper (§5.2 "Clustering"):
 /// * `alpha` — minimal cluster support as a fraction of the dataset; regions
@@ -96,22 +96,19 @@ impl MineClus {
     }
 
     /// Builds, for every active point, the itemset of dimensions in which it
-    /// lies within `width` of the medoid.
-    fn itemsets(&self, data: &Dataset, active: &[u32], medoid: &[f64]) -> Vec<u64> {
-        let ndim = data.ndim();
+    /// lies within `width` of the medoid. `cols` holds the active points'
+    /// values, one column per dimension, so each dimension is one streaming
+    /// pass that sets its bit with a branch-free compare the compiler
+    /// vectorizes.
+    fn itemsets(&self, cols: &[Vec<f64>], len: usize, medoid: &[f64]) -> Vec<u64> {
         let w = self.config.width;
-        active
-            .iter()
-            .map(|&i| {
-                let mut mask = 0u64;
-                for (d, &m) in medoid.iter().enumerate().take(ndim) {
-                    if (data.value(i as usize, d) - m).abs() <= w {
-                        mask |= 1 << d;
-                    }
-                }
-                mask
-            })
-            .collect()
+        let mut masks = vec![0u64; len];
+        for (d, (col, &m)) in cols.iter().zip(medoid).enumerate() {
+            for (mask, &v) in masks.iter_mut().zip(col) {
+                *mask |= (((v - m).abs() <= w) as u64) << d;
+            }
+        }
+        masks
     }
 
     /// One extraction round: the best cluster over `medoid_trials` medoids.
@@ -119,6 +116,7 @@ impl MineClus {
         &self,
         data: &Dataset,
         active: &[u32],
+        cols: &[Vec<f64>],
         min_support: usize,
         rng: &mut Rng,
     ) -> Option<(MinedSet, Vec<u32>)> {
@@ -132,7 +130,7 @@ impl MineClus {
         obs::add(obs::Counter::ClusterTrials, trials.len() as u64);
         for medoid_id in trials {
             let medoid = data.row(medoid_id as usize);
-            let masks = self.itemsets(data, active, &medoid);
+            let masks = self.itemsets(cols, active.len(), &medoid);
             let Some(mined) = mine_best_dimset(
                 &masks,
                 data.ndim(),
@@ -162,10 +160,13 @@ impl SubspaceClustering for MineClus {
         let min_support = ((self.config.alpha * n as f64).ceil() as usize).max(2);
         let mut rng = Rng::seed_from_u64(self.config.seed);
         let mut active: Vec<u32> = (0..n as u32).collect();
+        // The active points' values, one column per dimension, parallel to
+        // `active` and compacted with it: n × d × 8 bytes while clustering.
+        let mut cols: Vec<Vec<f64>> = (0..data.ndim()).map(|d| data.column(d).to_vec()).collect();
         let mut clusters = Vec::new();
         while clusters.len() < self.config.max_clusters && active.len() >= min_support {
             let round_start = obs::metrics_enabled().then(std::time::Instant::now);
-            let round = self.best_round(data, &active, min_support, &mut rng);
+            let round = self.best_round(data, &active, &cols, min_support, &mut rng);
             obs::incr(obs::Counter::ClusterRounds);
             if let Some(t0) = round_start {
                 obs::record(obs::StatKind::ClusterRoundSecs, t0.elapsed().as_secs_f64());
@@ -174,8 +175,7 @@ impl SubspaceClustering for MineClus {
                 break;
             };
             debug_assert!(members.len() >= min_support);
-            let member_set: std::collections::HashSet<u32> = members.iter().copied().collect();
-            active.retain(|i| !member_set.contains(i));
+            remove_members(&mut active, &mut cols, &members);
             clusters.push(SubspaceCluster { points: members, dims: mined.dims, score: mined.score });
         }
         // Descending importance.
