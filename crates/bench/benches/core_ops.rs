@@ -11,9 +11,11 @@ use sth_platform::bench::{black_box, Bench};
 use sth_bench::cross_fixture;
 use sth_core::build_uninitialized;
 use sth_data::gauss::GaussSpec;
-use sth_eval::{serve_training, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer};
+use sth_eval::{
+    serve_training, DatasetSpec, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer,
+};
 use sth_geometry::Rect;
-use sth_index::{RangeCounter, ResultSetCounter, ScanCounter};
+use sth_index::{KdCountTree, RangeCounter, ResultSetCounter, ScanCounter};
 use sth_mineclus::{cluster_default, mine_best_dimset};
 use sth_platform::rng::Rng;
 use sth_query::{CardinalityEstimator, Estimator, SelfTuning, WorkloadSpec};
@@ -331,6 +333,24 @@ fn bench_refine(c: &mut Bench) {
             });
         });
     }
+    // One serve_mixed tenant: Sky ×0.05 projected to dims 0–2, trained
+    // from empty at budget 100 on its 150 feedback queries. Its root grows
+    // to 70–76 children, so compaction is dominated by the sibling
+    // fixpoints of a wide parent.
+    let sky = DatasetSpec::Sky.generate(0.05).project(&[0, 1, 2]);
+    let sky_index = KdCountTree::build(&sky);
+    let seed = Rng::seed_from_u64(0xE0).fork(0).next_u64();
+    let sky_wl = WorkloadSpec { count: 150, ..WorkloadSpec::paper(0.01, seed) }
+        .generate(sky.domain(), None);
+    g.bench_function("sky3d_budget_100", |b| {
+        b.iter(|| {
+            let mut h = build_uninitialized(&sky, 100);
+            for q in sky_wl.queries() {
+                h.refine(q.rect(), &sky_index);
+            }
+            black_box(h.bucket_count())
+        });
+    });
     g.finish();
 }
 

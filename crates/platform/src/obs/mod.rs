@@ -79,6 +79,10 @@ pub enum Counter {
     /// of a parent whose memoized sibling geometry is rebuilt, plus one
     /// per applied sibling merge.
     SiblingFixpoints,
+    /// Sibling fixpoints of a memo rebuild settled at the children hull
+    /// by a hull-closing witness instead of sweeping to stability (a
+    /// subset of `SiblingFixpoints`).
+    SiblingHullJumps,
     /// Whole sibling groups skipped by the cached children-hull gate.
     HullGatePrunes,
     /// IPF sweeps over the constraint window.
@@ -127,7 +131,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 29] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
@@ -137,6 +141,7 @@ impl Counter {
         Counter::Merges,
         Counter::HeapRebuilds,
         Counter::SiblingFixpoints,
+        Counter::SiblingHullJumps,
         Counter::HullGatePrunes,
         Counter::IpfSweeps,
         Counter::IpfInnerIters,
@@ -170,6 +175,7 @@ impl Counter {
             Counter::Merges => "merges",
             Counter::HeapRebuilds => "heap_rebuilds",
             Counter::SiblingFixpoints => "sibling_fixpoints",
+            Counter::SiblingHullJumps => "sibling_hull_jumps",
             Counter::HullGatePrunes => "hull_gate_prunes",
             Counter::IpfSweeps => "ipf_sweeps",
             Counter::IpfInnerIters => "ipf_inner_iters",

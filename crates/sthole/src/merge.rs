@@ -22,9 +22,13 @@
 //! tops — O(log parents) per steady-state merge instead of a full parent
 //! scan. Each cache entry also memoizes its parent's sibling-merge
 //! geometry (see `SiblingMemo`), so a refresh whose child list is
-//! unchanged reruns no box-extension fixpoint.
+//! unchanged reruns no box-extension fixpoint. When the child list did
+//! change, the memo rebuild settles most fixpoints of a wide parent early:
+//! a pair whose box comes out as the exact children hull is a
+//! *hull-closing witness*, and any later sweep whose box takes in both
+//! children of a witness ends at that hull too (see `HullWitnesses`).
 //! [`StHoles::best_merge_exhaustive`] keeps the original full scan, with
-//! every fixpoint recomputed, as a brute-force oracle.
+//! every fixpoint recomputed by the plain sweep, as a brute-force oracle.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -34,7 +38,7 @@ use sth_geometry::Rect;
 use sth_platform::obs;
 
 use crate::scratch::RefineScratch;
-use crate::{Bucket, BucketId, StHoles};
+use crate::{Bucket, BucketArena, BucketId, StHoles};
 
 /// A concrete merge to apply.
 #[derive(Clone, Debug, PartialEq)]
@@ -172,6 +176,85 @@ struct ParentEntry {
 fn overlaps(a: &[f64], b: &[f64]) -> bool {
     let n = a.len() / 2;
     (0..n).all(|d| a[d].max(b[d]) < a[n + d].min(b[n + d]))
+}
+
+/// Hull-closing witnesses of one sibling-memo rebuild.
+///
+/// A sibling fixpoint is the *least* box around its pair that every other
+/// sibling misses or lies inside. The exact children hull `H` is such a
+/// box for every pair, so every fixpoint lies inside `H`. A pair whose
+/// fixpoint comes out bit-equal to `H` is *hull-closing*. Once a later
+/// sweep's box holds both children of a hull-closing pair, its fixpoint
+/// holds them too and no sibling cuts it, so it holds their least box
+/// `H`: the fixpoint is `H`. The sweep stops there, and its participants
+/// are the children overlapping `H` (`members`) other than its pair —
+/// exactly what a plain sweep ending at `H` swallows. Witnesses hold for
+/// one child list only; `start` forgets them.
+#[derive(Debug, Default)]
+pub(crate) struct HullWitnesses {
+    /// The packed exact children hull `H`.
+    hull: Vec<f64>,
+    /// Positions of the children overlapping `H`, in children order.
+    members: Vec<u32>,
+    /// Per child position, the positions it forms hull-closing pairs with.
+    partners: Vec<Vec<u32>>,
+    /// Per child position, whether the current sweep's box holds it (one
+    /// of the pair or a participant).
+    taken: Vec<bool>,
+}
+
+impl HullWitnesses {
+    /// Starts a rebuild over `kids` (at least one): computes `H` and its
+    /// members, and forgets every witness of the previous rebuild.
+    fn start(&mut self, arena: &BucketArena, kids: &[BucketId]) {
+        let hull = &mut self.hull;
+        hull.clear();
+        hull.extend_from_slice(arena.bounds(kids[0]));
+        let n = hull.len() / 2;
+        for &c in &kids[1..] {
+            let b = arena.bounds(c);
+            for d in 0..n {
+                hull[d] = hull[d].min(b[d]);
+                hull[n + d] = hull[n + d].max(b[n + d]);
+            }
+        }
+        self.members.clear();
+        self.members.extend(
+            (0..kids.len() as u32).filter(|&p| overlaps(hull, arena.bounds(kids[p as usize]))),
+        );
+        self.partners.iter_mut().for_each(Vec::clear);
+        if self.partners.len() < kids.len() {
+            self.partners.resize_with(kids.len(), Vec::new);
+        }
+        self.taken.clear();
+        self.taken.resize(kids.len(), false);
+    }
+
+    /// Marks position `p` as held by the sweep's box; `true` when that
+    /// completes a hull-closing pair.
+    fn take(&mut self, p: u32) -> bool {
+        self.taken[p as usize] = true;
+        self.partners[p as usize].iter().any(|&q| self.taken[q as usize])
+    }
+
+    /// Ends the sweep of pair (`pi`, `pj`), whose box held `parts`: clears
+    /// the marks, writes `H` and its participants if the sweep was
+    /// `settled`, and records the pair if its box is `H`.
+    fn finish(&mut self, pi: u32, pj: u32, settled: bool, bn: &mut [f64], parts: &mut Vec<u32>) {
+        for &p in [pi, pj].iter().chain(parts.iter()) {
+            self.taken[p as usize] = false;
+        }
+        if settled {
+            obs::incr(obs::Counter::SiblingHullJumps);
+            bn.copy_from_slice(&self.hull);
+            parts.clear();
+            parts.extend(self.members.iter().filter(|&&p| p != pi && p != pj));
+        }
+        if bn.iter().zip(&self.hull).all(|(x, h)| x.to_bits() == h.to_bits()) {
+            self.partners[pi as usize].push(pj);
+            self.partners[pj as usize].push(pi);
+        }
+    }
 }
 
 /// Incremental best-merge state: per-parent caches, a dirty set, and two
@@ -317,7 +400,8 @@ impl StHoles {
             if b.children.is_empty() {
                 continue;
             }
-            let entry = self.compute_parent_merges(id, &mut scratch, &mut SiblingMemo::default());
+            let entry =
+                self.compute_parent_merges(id, &mut scratch, &mut SiblingMemo::default(), false);
             consider(&mut best_pc, &entry.best_parent_child);
             match policy {
                 crate::MergePolicy::All => {
@@ -359,7 +443,7 @@ impl StHoles {
             accel.version[id] = accel.version[id].wrapping_add(1);
             if self.arena.contains(id) && !self.arena.get(id).children.is_empty() {
                 let entry = accel.cache.entry(id).or_default();
-                entry.merges = self.compute_parent_merges(id, &mut scratch, &mut entry.memo);
+                entry.merges = self.compute_parent_merges(id, &mut scratch, &mut entry.memo, true);
                 let version = accel.version[id];
                 if let Some(mp) = &entry.merges.best_parent_child {
                     accel
@@ -417,14 +501,16 @@ impl StHoles {
     /// Computes the cheapest merges below parent `id`, allocation-free:
     /// own volumes are computed once per child, and the sibling candidates
     /// take their extended boxes from `memo`, which is first brought up to
-    /// date with `id`'s children (an empty memo recomputes every fixpoint).
+    /// date with `id`'s children (an empty memo recomputes every fixpoint,
+    /// with hull-closing witnesses when `witnessed`).
     fn compute_parent_merges(
         &self,
         id: BucketId,
         scratch: &mut RefineScratch,
         memo: &mut SiblingMemo,
+        witnessed: bool,
     ) -> ParentMerges {
-        self.refresh_sibling_memo(id, memo, scratch);
+        self.refresh_sibling_memo(id, memo, scratch, witnessed);
         let child_owns = &mut scratch.child_owns;
         let bucket = self.arena.get(id);
         let kids = &bucket.children;
@@ -475,12 +561,13 @@ impl StHoles {
     /// Brings `memo` up to date with `parent`'s children: an unchanged
     /// child list (same ids, bit-identical boxes) keeps everything;
     /// otherwise the candidate pairs are reselected and every fixpoint
-    /// reruns.
+    /// reruns, settled early by hull-closing witnesses when `witnessed`.
     fn refresh_sibling_memo(
         &self,
         parent: BucketId,
         memo: &mut SiblingMemo,
         scratch: &mut RefineScratch,
+        witnessed: bool,
     ) {
         let kids = &self.arena.get(parent).children;
         let span = 2 * self.domain().ndim();
@@ -492,7 +579,7 @@ impl StHoles {
         {
             return;
         }
-        let RefineScratch { pair_buf, best2, x_order, active, sib_parts, .. } = scratch;
+        let RefineScratch { pair_buf, best2, x_order, active, sib_parts, witnesses, .. } = scratch;
         memo.clear();
         memo.kids.extend_from_slice(kids);
         for &c in kids {
@@ -503,11 +590,16 @@ impl StHoles {
             return;
         }
         self.sort_by_dim0(kids, x_order);
+        let mut witnesses = witnessed.then_some(witnesses);
+        if let Some(w) = witnesses.as_deref_mut() {
+            w.start(&self.arena, kids);
+        }
         for &(pi, pj) in &memo.pairs {
             let at = memo.boxes.len();
             memo.boxes.resize(at + span, 0.0);
             let bn = &mut memo.boxes[at..];
-            self.sibling_fixpoint(kids, pi, pj, x_order, active, bn, sib_parts);
+            let w = witnesses.as_deref_mut();
+            self.sibling_fixpoint(kids, pi, pj, x_order, active, bn, sib_parts, w);
             memo.parts.extend(sib_parts.iter().map(|&p| kids[p as usize]));
             memo.part_ends.push(memo.parts.len() as u32);
         }
@@ -632,7 +724,10 @@ impl StHoles {
     /// until every other child is disjoint from it or inside it (Fig. 3
     /// (b)). Writes the packed box to `bn` and the positions of the
     /// children it swallows (the participants), in children order, to
-    /// `parts`. `x_order` comes from [`StHoles::sort_by_dim0`].
+    /// `parts`. `x_order` comes from [`StHoles::sort_by_dim0`]. With
+    /// `witnesses` (a memo rebuild over `kids`, see [`HullWitnesses`]) the
+    /// sweep stops as soon as its box holds a hull-closing pair; without
+    /// them it is the plain sweep to stability.
     #[allow(clippy::too_many_arguments)]
     fn sibling_fixpoint(
         &self,
@@ -643,6 +738,7 @@ impl StHoles {
         active: &mut Vec<u32>,
         bn: &mut [f64],
         parts: &mut Vec<u32>,
+        mut witnesses: Option<&mut HullWitnesses>,
     ) {
         obs::incr(obs::Counter::SiblingFixpoints);
         let ba = self.arena.bounds(kids[pi as usize]);
@@ -654,7 +750,7 @@ impl StHoles {
         }
         // The box only ever grows, and each pass runs to stability, so the
         // result is the least fixpoint — independent of visit order (min /
-        // max are exact, so even the bits are order-independent). Two
+        // max are exact, so even the bits are order-independent). Three
         // consequences are exploited here:
         //
         // * sweeping children by ascending dim-0 lower edge (`x_order`)
@@ -663,11 +759,19 @@ impl StHoles {
         // * a child the box has swallowed stays swallowed, so it moves
         //   from the `active` worklist straight into the participant list
         //   and is never rescanned — later passes only revisit children
-        //   that were still disjoint.
+        //   that were still disjoint;
+        // * a box holding both children of a hull-closing witness can only
+        //   grow to the children hull, so with `witnesses` the sweep stops
+        //   there and `finish` writes that hull.
         active.clear();
         active.extend(x_order.iter().copied().filter(|&p| p != pi && p != pj));
         parts.clear();
-        loop {
+        if let Some(w) = witnesses.as_deref_mut() {
+            w.taken[pi as usize] = true;
+            w.taken[pj as usize] = true;
+        }
+        let mut settled = false;
+        'sweep: loop {
             let mut changed = false;
             let mut kept = 0;
             let mut idx = 0;
@@ -703,11 +807,18 @@ impl StHoles {
                 // Contained now (extension covers the box exactly): a
                 // permanent participant.
                 parts.push(pos32);
+                if witnesses.as_deref_mut().is_some_and(|w| w.take(pos32)) {
+                    settled = true;
+                    break 'sweep;
+                }
             }
             active.truncate(kept);
             if !changed {
                 break;
             }
+        }
+        if let Some(w) = witnesses {
+            w.finish(pi, pj, settled, bn, parts);
         }
         // Positions were collected in sweep order; the volume sums of the
         // penalty must run in children order to stay bit-identical to a
@@ -814,7 +925,7 @@ impl StHoles {
                 let (pi, pj) = (pos(a) as u32, pos(b) as u32);
                 self.sort_by_dim0(kids, x_order);
                 bn_box.resize(2 * self.domain().ndim(), 0.0);
-                self.sibling_fixpoint(kids, pi, pj, x_order, active, bn_box, sib_parts);
+                self.sibling_fixpoint(kids, pi, pj, x_order, active, bn_box, sib_parts, None);
                 participants.clear();
                 participants.extend(sib_parts.iter().map(|&p| kids[p as usize]));
                 let v_p_own = self.arena.own_volume(parent);
@@ -857,6 +968,8 @@ impl StHoles {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sth_platform::check::prelude::*;
+    use sth_platform::rng::Rng;
     use sth_query::CardinalityEstimator;
 
     fn domain() -> Rect {
@@ -1006,6 +1119,107 @@ mod tests {
         let fast = h.best_merge();
         assert_eq!(read(Counter::SiblingFixpoints), before, "the root's refresh reran a fixpoint");
         assert_eq!(fast, h.best_merge_exhaustive());
+    }
+
+    /// Pairs, box bits, participants and participant ends of a memo.
+    type MemoBits = (Vec<(u32, u32)>, Vec<u64>, Vec<BucketId>, Vec<u32>);
+
+    /// Memo contents with the boxes as bits, for exact comparison.
+    fn memo_bits(m: &SiblingMemo) -> MemoBits {
+        let boxes = m.boxes.iter().map(|x| x.to_bits()).collect();
+        (m.pairs.clone(), boxes, m.parts.clone(), m.part_ends.clone())
+    }
+
+    #[test]
+    fn hull_witnesses_settle_only_pairs_that_hold_a_closing_pair() {
+        use sth_platform::obs::{force_metrics, read, Counter};
+
+        // Corners 0 and 1 close the hull. A bar across the middle (2)
+        // reaches corner 0 with stub 3 and corner 1 with stub 4, but only
+        // the pairs whose sweep takes in both corners end at the hull.
+        force_metrics(true);
+        let mut h = StHoles::with_total(domain(), 10, 100.0);
+        let root = h.root();
+        let boxes = [
+            ([0.0, 0.0], [10.0, 10.0]),
+            ([90.0, 90.0], [100.0, 100.0]),
+            ([5.0, 40.0], [95.0, 60.0]),
+            ([20.0, 0.0], [30.0, 20.0]),
+            ([20.0, 80.0], [30.0, 100.0]),
+        ];
+        for (lo, hi) in boxes {
+            let c = h.arena.alloc(Bucket::leaf(Rect::from_bounds(&lo, &hi), 10.0, Some(root)));
+            h.arena.get_mut(root).children.push(c);
+        }
+        h.nonroot_count = boxes.len();
+        h.check_invariants().unwrap();
+        let mut scratch = RefineScratch::default();
+        let mut plain = SiblingMemo::default();
+        h.refresh_sibling_memo(root, &mut plain, &mut scratch, false);
+        let (fixpoints, jumps) = (read(Counter::SiblingFixpoints), read(Counter::SiblingHullJumps));
+        let mut witnessed = SiblingMemo::default();
+        h.refresh_sibling_memo(root, &mut witnessed, &mut scratch, true);
+        assert_eq!(read(Counter::SiblingFixpoints) - fixpoints, 10, "one fixpoint per pair");
+        // (0, 1) closes the hull by sweeping; (0, 4), (1, 3) and (3, 4)
+        // then settle on it. (2, 3) and (2, 4) take in one corner each.
+        assert_eq!(read(Counter::SiblingHullJumps) - jumps, 3);
+        assert_eq!(memo_bits(&witnessed), memo_bits(&plain));
+        assert_eq!(h.best_merge(), h.best_merge_exhaustive());
+    }
+
+    /// Up to `k` disjoint children of `[0, 100)^ndim`, thrown at random
+    /// onto a grid of step 5 (so edges often coincide) and kept when they
+    /// overlap no earlier child. With sides of 5 to `5·max_side`, `max_side`
+    /// from 5 to 12, most sets have candidate pairs that sweep out to the
+    /// children hull and others that stop short of it.
+    fn scattered_children(ndim: usize, k: usize, max_side: u32, rng: &mut Rng) -> Vec<Vec<f64>> {
+        let mut out: Vec<Vec<f64>> = Vec::new();
+        for _ in 0..100 * k {
+            if out.len() == k {
+                break;
+            }
+            let mut b: Vec<f64> = (0..ndim).map(|_| 5.0 * rng.gen_range(0..20u32) as f64).collect();
+            for d in 0..ndim {
+                b.push((b[d] + 5.0 * rng.gen_range(1..max_side + 1) as f64).min(100.0));
+            }
+            if out.iter().all(|o| !overlaps(o, &b)) {
+                out.push(b);
+            }
+        }
+        out
+    }
+
+    check! {
+        cases = 48;
+
+        /// A memo rebuilt with hull-closing witnesses equals the plain
+        /// sweep's, bit for bit: every candidate pair's box and its
+        /// participants in children order. The second round drops a random
+        /// third of the children and rebuilds with the same scratch, so
+        /// witnesses left over from the first child list would show.
+        fn hull_witnesses_match_the_plain_sweep(
+            ndim in 3usize..7,
+            k in 13usize..121,
+            max_side in 5u32..13,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut h = StHoles::with_total(Rect::cube(ndim, 0.0, 100.0), 200, 1000.0);
+            let root = h.root();
+            for b in scattered_children(ndim, k, max_side, &mut rng) {
+                let (lo, hi) = b.split_at(ndim);
+                let c = h.arena.alloc(Bucket::leaf(Rect::from_bounds(lo, hi), 1.0, Some(root)));
+                h.arena.get_mut(root).children.push(c);
+            }
+            let mut scratch = RefineScratch::default();
+            for _ in 0..2 {
+                let (mut plain, mut witnessed) = (SiblingMemo::default(), SiblingMemo::default());
+                h.refresh_sibling_memo(root, &mut plain, &mut scratch, false);
+                h.refresh_sibling_memo(root, &mut witnessed, &mut scratch, true);
+                prop_assert_eq!(memo_bits(&witnessed), memo_bits(&plain));
+                h.arena.get_mut(root).children.retain(|_| !rng.gen_bool(1.0 / 3.0));
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   dead storage between calls.
 
 use crate::arena::BucketId;
+use crate::merge::HullWitnesses;
 
 /// Reusable buffers for the refine hot path. Contents are meaningless
 /// between operations; only the allocated capacity matters.
@@ -42,4 +43,6 @@ pub(crate) struct RefineScratch {
     /// Children not yet absorbed by the tentative merged box — the
     /// extension loop's shrinking worklist.
     pub active: Vec<u32>,
+    /// Hull-closing witnesses of the sibling memo being rebuilt.
+    pub witnesses: HullWitnesses,
 }

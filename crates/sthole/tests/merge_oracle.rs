@@ -9,6 +9,7 @@ use sth_data::Dataset;
 use sth_geometry::Rect;
 use sth_histogram::StHoles;
 use sth_index::ScanCounter;
+use sth_platform::obs::{force_metrics, read, Counter};
 use sth_query::SelfTuning;
 
 fn dataset(points: &[(f64, f64)]) -> Dataset {
@@ -113,7 +114,9 @@ check! {
         // sibling-pair selection starts: the regime in which memoized
         // sibling fixpoints are reused and invalidated. Twice the budget in
         // queries keeps compaction recycling slots; periodic decay
-        // rescales every frequency and drops all cached state.
+        // rescales every frequency and drops all cached state. Wide
+        // parents are where hull-closing witnesses settle fixpoints, so
+        // the oracle checks that path here.
         let mut rng = Rng::seed_from_u64(seed);
         let domain = Rect::cube(ndim, 0.0, 100.0);
         let columns = (0..ndim)
@@ -129,6 +132,9 @@ check! {
         // byte-identical to `h`.
         let mut shadow = h.clone();
         let mut max_fanout = 0;
+        // Counters are thread-local, so the delta is this case's own.
+        force_metrics(true);
+        let jumps = read(Counter::SiblingHullJumps);
         for i in 0..2 * budget + 40 {
             let lo: Vec<f64> = (0..ndim).map(|_| rng.gen_range(0.0..75.0)).collect();
             let hi: Vec<f64> = lo.iter().map(|&l| l + rng.gen_range(10.0..25.0)).collect();
@@ -144,6 +150,10 @@ check! {
             }
         }
         prop_assert!(max_fanout > 12, "root fanout peaked at {max_fanout}");
+        prop_assert!(
+            read(Counter::SiblingHullJumps) > jumps,
+            "no memo rebuild settled a fixpoint at the children hull"
+        );
         prop_assert!(shadow.to_bytes() == h.to_bytes(), "the shadow histogram diverged");
         let mut cold = h.clone();
         prop_assert_eq!(cold.best_merge(), h.best_merge());
