@@ -9,14 +9,14 @@ use std::time::Duration;
 
 use sth_platform::bench::{black_box, Bench};
 use sth_bench::cross_fixture;
-use sth_core::build_uninitialized;
+use sth_core::{build_initialized, build_uninitialized, InitConfig};
 use sth_data::gauss::GaussSpec;
 use sth_eval::{
     serve_training, DatasetSpec, Registry, ServeConfig, TenantKey, TenantRuntime, Trainer,
 };
 use sth_geometry::Rect;
 use sth_index::{KdCountTree, RangeCounter, ResultSetCounter, ScanCounter};
-use sth_mineclus::{cluster_default, mine_best_dimset};
+use sth_mineclus::{cluster_default, mine_best_dimset, MineClus, MineClusConfig};
 use sth_platform::rng::Rng;
 use sth_query::{CardinalityEstimator, Estimator, SelfTuning, WorkloadSpec};
 use sth_store::vfs::{MemVfs, Vfs};
@@ -337,7 +337,8 @@ fn bench_refine(c: &mut Bench) {
     // from empty at budget 100 on its 150 feedback queries. Its root grows
     // to 70–76 children, so compaction is dominated by the sibling
     // fixpoints of a wide parent.
-    let sky = DatasetSpec::Sky.generate(0.05).project(&[0, 1, 2]);
+    let sky7 = DatasetSpec::Sky.generate(0.05);
+    let sky = sky7.project(&[0, 1, 2]);
     let sky_index = KdCountTree::build(&sky);
     let seed = Rng::seed_from_u64(0xE0).fork(0).next_u64();
     let sky_wl = WorkloadSpec { count: 150, ..WorkloadSpec::paper(0.01, seed) }
@@ -347,6 +348,29 @@ fn bench_refine(c: &mut Bench) {
             let mut h = build_uninitialized(&sky, 100);
             for q in sky_wl.queries() {
                 h.refine(q.rect(), &sky_index);
+            }
+            black_box(h.bucket_count())
+        });
+    });
+    // paper_sky's feedback path: Sky ×0.05, MineClus-initialized at budget
+    // 50, fed the first 100 queries of the benchmark's first paper_sky
+    // input, each probed once into a result stream whose zone map answers
+    // drilling's recounts. The histogram is built once and cloned per
+    // iteration, so clustering stays out of the timed loop.
+    let sky7_index = KdCountTree::build(&sky7);
+    let mineclus = MineClus::new(MineClusConfig::default());
+    let (sky7_init, _) =
+        build_initialized(&sky7, 50, &mineclus, &InitConfig::default(), None, &sky7_index);
+    let sky7_wl = WorkloadSpec { count: 100, ..WorkloadSpec::paper(0.01, seed) }
+        .generate(sky7.domain(), None);
+    g.bench_function("sky7d_result_stream_budget_50", |b| {
+        let mut result = ResultSetCounter::empty(sky7.ndim());
+        b.iter(|| {
+            let mut h = sky7_init.clone();
+            for q in sky7_wl.queries() {
+                result.refill_from_counter(&sky7_index, q.rect());
+                let truth = result.total() as f64;
+                h.refine_with_truth(q.rect(), &result, truth);
             }
             black_box(h.bucket_count())
         });

@@ -38,8 +38,7 @@ fn main() {
     let t = Instant::now();
     let mut rows_total = 0usize;
     for q in wl.queries() {
-        let (rows, d) = index.collect_rows(q.rect()).unwrap();
-        rows_total += rows.len() / d;
+        rows_total += ResultSetCounter::from_counter(&index, q.rect()).unwrap().len();
     }
     println!("collect:  {:>8.3}s ({rows_total} rows)", t.elapsed().as_secs_f64());
 

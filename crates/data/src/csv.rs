@@ -35,6 +35,15 @@ pub enum CsvError {
         /// 1-based field number.
         field: usize,
     },
+    /// A field parsed as an infinity or NaN. Neither has a place in a
+    /// half-open box: an infinity cannot bound the domain, and a NaN fails
+    /// every comparison, so scans and index boxes would disagree on it.
+    NonFinite {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based field number.
+        field: usize,
+    },
     /// File contained a header but no data rows.
     Empty,
 }
@@ -49,6 +58,9 @@ impl fmt::Display for CsvError {
             }
             CsvError::Parse { line, field } => {
                 write!(f, "line {line}: field {field} is not a number")
+            }
+            CsvError::NonFinite { line, field } => {
+                write!(f, "line {line}: field {field} is not finite")
             }
             CsvError::Empty => write!(f, "no data rows"),
         }
@@ -89,6 +101,9 @@ pub fn read_csv(path: &Path, name: &str) -> Result<Dataset, CsvError> {
                 .trim()
                 .parse()
                 .map_err(|_| CsvError::Parse { line: lineno + 2, field: d + 1 })?;
+            if !v.is_finite() {
+                return Err(CsvError::NonFinite { line: lineno + 2, field: d + 1 });
+            }
             cols[d].push(v);
         }
     }
@@ -155,6 +170,20 @@ mod tests {
         let empty = dir.join("empty.csv");
         std::fs::write(&empty, "a,b\n").unwrap();
         assert!(matches!(read_csv(&empty, "e"), Err(CsvError::Empty)));
+    }
+
+    #[test]
+    fn rejects_non_finite_fields() {
+        let dir = std::env::temp_dir().join("sth_csv_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let inf = dir.join("inf.csv");
+        std::fs::write(&inf, "a,b\n1,2\n3,inf\n").unwrap();
+        assert!(matches!(read_csv(&inf, "i"), Err(CsvError::NonFinite { line: 3, field: 2 })));
+        let nan = dir.join("nan.csv");
+        std::fs::write(&nan, "a,b\nNaN,2\n3,4\n").unwrap();
+        let err = read_csv(&nan, "n").unwrap_err();
+        assert!(matches!(err, CsvError::NonFinite { line: 2, field: 1 }));
+        assert_eq!(err.to_string(), "line 2: field 1 is not finite");
     }
 
     #[test]

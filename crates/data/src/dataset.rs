@@ -119,7 +119,7 @@ impl Dataset {
             }
             lo[d] = mn;
             // Nudge the upper bound so the max point is inside the half-open box.
-            hi[d] = next_up(mx).min(self.domain.hi()[d]);
+            hi[d] = mx.next_up().min(self.domain.hi()[d]);
         }
         Some(Rect::from_bounds(&lo, &hi))
     }
@@ -151,24 +151,6 @@ impl Dataset {
             Rect::from_bounds(&lo, &hi),
             cols,
         )
-    }
-}
-
-/// Smallest `f64` strictly greater than `x` (for finite positive-range use).
-fn next_up(x: f64) -> f64 {
-    // f64::next_up is stable but keeping an explicit implementation documents
-    // the intent: we only need "x plus one ulp" for domain values.
-    let bits = x.to_bits();
-    if x.is_nan() || x == f64::INFINITY {
-        return x;
-    }
-    if x == 0.0 {
-        return f64::from_bits(1);
-    }
-    if x > 0.0 {
-        f64::from_bits(bits + 1)
-    } else {
-        f64::from_bits(bits - 1)
     }
 }
 
@@ -244,8 +226,12 @@ mod tests {
 
     #[test]
     fn next_up_is_strictly_greater() {
-        for x in [0.0, 1.0, 999.99, 1e-300, -3.5] {
-            assert!(next_up(x) > x, "next_up({x}) not greater");
+        // The nudged upper edge keeps a maximum of any sign inside the box.
+        for x in [0.0, -0.0, 1.0, 999.99, 1e-300, -3.5, -1e-300] {
+            let ds = Dataset::from_columns("one", Rect::cube(1, -10.0, 1000.0), vec![vec![x]]);
+            let br = ds.bounding_rect(&[0], &[0]).unwrap();
+            assert!(br.hi()[0] > x, "upper edge {} not above {x}", br.hi()[0]);
+            assert!(br.contains_point(&[x]));
         }
     }
 

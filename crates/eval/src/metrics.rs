@@ -17,17 +17,26 @@ pub fn evaluate_static(
     workload: &Workload,
     counter: &dyn RangeCounter,
 ) -> f64 {
+    let truths: Vec<f64> =
+        workload.queries().iter().map(|q| counter.count(q.rect()) as f64).collect();
+    static_mae(estimator, workload, &truths)
+}
+
+/// [`evaluate_static`] against already-known truths, one per query of
+/// `workload` in order — for a caller whose feedback loop has just probed
+/// every query, so that normalizing costs no second probe.
+pub(crate) fn static_mae(estimator: &dyn Estimator, workload: &Workload, truths: &[f64]) -> f64 {
     if workload.is_empty() {
         return 0.0;
     }
+    debug_assert_eq!(truths.len(), workload.len(), "one truth per query");
     let rects: Vec<Rect> = workload.queries().iter().map(|q| q.rect().clone()).collect();
     let mut estimates = Vec::with_capacity(rects.len());
     estimator.estimate_batch(&rects, &mut estimates);
     debug_assert_eq!(estimates.len(), rects.len(), "estimate_batch contract violation");
     let mut sum = 0.0;
-    for (q, est) in rects.iter().zip(&estimates) {
+    for ((q, est), truth) in rects.iter().zip(&estimates).zip(truths) {
         debug_assert_eq!(estimator.ndim(), q.ndim());
-        let truth = counter.count(q) as f64;
         sum += (est - truth).abs();
     }
     sum / workload.len() as f64
@@ -43,6 +52,18 @@ pub fn evaluate_self_tuning(
     counter: &dyn RangeCounter,
     refine: bool,
 ) -> f64 {
+    self_tuning_mae(estimator, workload, counter, refine, &mut Vec::new())
+}
+
+/// [`evaluate_self_tuning`], also appending each query's truth to `truths`
+/// in workload order.
+pub(crate) fn self_tuning_mae(
+    estimator: &mut dyn SelfTuning,
+    workload: &Workload,
+    counter: &dyn RangeCounter,
+    refine: bool,
+    truths: &mut Vec<f64>,
+) -> f64 {
     if workload.is_empty() {
         return 0.0;
     }
@@ -54,6 +75,7 @@ pub fn evaluate_self_tuning(
     let mut result = ResultSetCounter::empty(1);
     for q in workload.queries() {
         obs::incr(obs::Counter::Queries);
+        let truth;
         if refine {
             // Execute the query once: truth comes from that single
             // execution and is handed to the estimator, so nothing
@@ -62,11 +84,11 @@ pub fn evaluate_self_tuning(
                 // Feed the histogram from the result stream — the deployed
                 // feedback path, and far cheaper than probing the index for
                 // every candidate hole.
-                let truth = result.total() as f64;
+                truth = result.total() as f64;
                 sum += (estimator.estimate(q.rect()) - truth).abs();
                 estimator.refine_with_truth(q.rect(), &result, truth);
             } else {
-                let truth = counter.count(q.rect()) as f64;
+                truth = counter.count(q.rect()) as f64;
                 sum += (estimator.estimate(q.rect()) - truth).abs();
                 let memo = QueryTruthMemo { inner: counter, rect: q.rect(), truth: truth as u64 };
                 estimator.refine_with_truth(q.rect(), &memo, truth);
@@ -81,9 +103,10 @@ pub fn evaluate_self_tuning(
                 }
             }
         } else {
-            let truth = counter.count(q.rect()) as f64;
+            truth = counter.count(q.rect()) as f64;
             sum += (estimator.estimate(q.rect()) - truth).abs();
         }
+        truths.push(truth);
     }
     sum / workload.len() as f64
 }

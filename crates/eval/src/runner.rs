@@ -7,7 +7,7 @@ use sth_core::{build_initialized, build_uninitialized, InitConfig, InitReport};
 use sth_mineclus::{MineClus, MineClusConfig};
 use sth_query::{CenterDistribution, SelfTuning, Workload, WorkloadSpec};
 
-use crate::metrics::{evaluate_self_tuning, evaluate_static, normalized_absolute_error};
+use crate::metrics::{evaluate_self_tuning, normalized_absolute_error, self_tuning_mae, static_mae};
 use crate::spec::PreparedDataset;
 
 /// Which histogram variant to run.
@@ -194,13 +194,15 @@ pub fn run_simulation(prep: &PreparedDataset, variant: &Variant, cfg: &RunConfig
         hist.set_frozen(true);
     }
     let t1 = Instant::now();
-    let mae = evaluate_self_tuning(&mut hist, &sim, counter, true);
+    let mut truths = Vec::with_capacity(sim.len());
+    let mae = self_tuning_mae(&mut hist, &sim, counter, true, &mut truths);
     let sim_only_secs = t1.elapsed().as_secs_f64();
     let sim_secs = t0.elapsed().as_secs_f64();
 
-    // Normalize by H0 on the same simulation workload.
+    // Normalize by H0 on the same simulation workload, against the truths
+    // the loop's own probes returned.
     let h0 = TrivialHistogram::for_dataset(data);
-    let trivial_mae = evaluate_static(&h0, &sim, counter);
+    let trivial_mae = static_mae(&h0, &sim, &truths);
     let nae = normalized_absolute_error(mae, trivial_mae);
 
     let provenance = RunProvenance {
@@ -416,5 +418,24 @@ mod tests {
         assert!(p.counters.get(Counter::Drills) > 0);
         assert!(p.counters.get(Counter::ClusterRounds) > 0);
         assert!(p.train_secs >= 0.0 && p.sim_secs >= 0.0);
+    }
+
+    #[test]
+    fn simulation_probes_each_query_once() {
+        // The H0 normalization reuses the simulation loop's truths instead
+        // of counting every simulation query against the index again.
+        use sth_platform::obs::{self, Counter};
+        obs::force_metrics(true);
+        let prep = tiny_ctx().prepare(DatasetSpec::Cross2d);
+        let cfg = RunConfig { train: 30, sim: 20, ..RunConfig::paper(10, 7) };
+        let out = run_simulation(&prep, &Variant::Uninitialized, &cfg);
+        assert_eq!(out.provenance.counters.get(Counter::IndexProbes), 50);
+        // The normalizer is still H0's error on the simulation workload.
+        let wl = WorkloadSpec { count: 50, ..WorkloadSpec::paper(cfg.volume_frac, 7) }
+            .generate(prep.data.domain(), None);
+        let (_, sim) = wl.split_train(30);
+        let h0 = TrivialHistogram::for_dataset(&prep.data);
+        let trivial = crate::metrics::evaluate_static(&h0, &sim, &*prep.index);
+        assert_eq!(out.nae.to_bits(), normalized_absolute_error(out.mae, trivial).to_bits());
     }
 }

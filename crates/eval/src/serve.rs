@@ -605,7 +605,7 @@ mod tests {
     }
 
     /// Forwards to a real index but panics partway through the run —
-    /// and advertises no `collect_rows` support, so the trainer's
+    /// and advertises no `fill_result` support, so the trainer's
     /// fallback path calls `count` on every refine.
     struct PanickyCounter<'a> {
         inner: &'a KdCountTree,

@@ -10,7 +10,7 @@
 use sth_geometry::Rect;
 use sth_platform::obs;
 
-use crate::RangeCounter;
+use crate::{RangeCounter, ResultSetCounter};
 
 /// Leaf capacity. Large enough that the tree stays shallow, small enough
 /// that boundary-leaf scans stay cheap.
@@ -135,38 +135,6 @@ impl KdCountTree {
         }
         hits
     }
-
-    /// Collects the rows inside `rect` — the "result stream" of a query.
-    pub fn points_in(&self, rect: &Rect) -> Vec<Vec<f64>> {
-        let mut out = Vec::new();
-        if self.total == 0 {
-            return out;
-        }
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            match &self.nodes[id as usize] {
-                Node::Leaf { bbox, start, end } => {
-                    if !rect.intersects(bbox) {
-                        continue;
-                    }
-                    let d = self.ndim;
-                    let rows = &self.points[*start as usize * d..*end as usize * d];
-                    for row in rows.chunks_exact(d) {
-                        if rect.contains_point(row) {
-                            out.push(row.to_vec());
-                        }
-                    }
-                }
-                Node::Inner { bbox, left, right, .. } => {
-                    if rect.intersects(bbox) {
-                        stack.push(*left);
-                        stack.push(*right);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl RangeCounter for KdCountTree {
@@ -179,20 +147,8 @@ impl RangeCounter for KdCountTree {
         // Accumulated locally (one register add per node) and flushed once:
         // the traversal loop is the probe hot path.
         let mut visited = 0u64;
-        let mut stack = [0u32; 64];
-        let mut top = 0usize;
-        stack[top] = self.root;
-        top += 1;
-        let mut heap_stack: Vec<u32> = Vec::new(); // overflow spill (deep trees)
-        loop {
-            let id = if top > 0 {
-                top -= 1;
-                stack[top]
-            } else if let Some(id) = heap_stack.pop() {
-                id
-            } else {
-                break;
-            };
+        let mut stack = NodeStack::new(self.root);
+        while let Some(id) = stack.pop() {
             visited += 1;
             match &self.nodes[id as usize] {
                 Node::Leaf { bbox, start, end } => {
@@ -208,14 +164,8 @@ impl RangeCounter for KdCountTree {
                         hits += count;
                         continue;
                     }
-                    for child in [*left, *right] {
-                        if top < stack.len() {
-                            stack[top] = child;
-                            top += 1;
-                        } else {
-                            heap_stack.push(child);
-                        }
-                    }
+                    stack.push(*left);
+                    stack.push(*right);
                 }
             }
         }
@@ -227,32 +177,43 @@ impl RangeCounter for KdCountTree {
         self.total
     }
 
-    fn collect_rows(&self, rect: &Rect) -> Option<(Vec<f64>, usize)> {
-        let mut rows = Vec::new();
-        let ndim = self.collect_rows_into(rect, &mut rows)?;
-        Some((rows, ndim))
-    }
-
-    fn collect_rows_into(&self, rect: &Rect, out: &mut Vec<f64>) -> Option<usize> {
-        out.clear();
+    /// One depth-first walk, right child first (the row order the delta
+    /// log has always recorded). Each leaf that contributes a row becomes
+    /// one block of the result, boxed by `leaf box ∩ query`: both boxes
+    /// are at hand, so the zone map costs no pass over the rows. A leaf
+    /// inside the query is copied whole.
+    fn fill_result(&self, rect: &Rect, out: &mut ResultSetCounter) -> bool {
         obs::incr(obs::Counter::IndexProbes);
+        out.reset(self.ndim.max(1));
         if self.total == 0 {
-            return Some(self.ndim.max(1));
+            return true;
         }
-        let mut stack = vec![self.root];
+        let d = self.ndim;
+        let mut stack = NodeStack::new(self.root);
         while let Some(id) = stack.pop() {
             match &self.nodes[id as usize] {
                 Node::Leaf { bbox, start, end } => {
                     if !rect.intersects(bbox) {
                         continue;
                     }
-                    let d = self.ndim;
                     let rows = &self.points[*start as usize * d..*end as usize * d];
-                    for row in rows.chunks_exact(d) {
-                        if rect.contains_point(row) {
-                            out.extend_from_slice(row);
+                    if rect.contains_rect(bbox) {
+                        out.rows.extend_from_slice(rows);
+                    } else {
+                        let before = out.rows.len();
+                        for row in rows.chunks_exact(d) {
+                            if rect.contains_point(row) {
+                                out.rows.extend_from_slice(row);
+                            }
+                        }
+                        if out.rows.len() == before {
+                            continue;
                         }
                     }
+                    out.close_block(
+                        bbox.lo().iter().zip(rect.lo()).map(|(a, b)| a.max(*b)),
+                        bbox.hi().iter().zip(rect.hi()).map(|(a, b)| a.min(*b)),
+                    );
                 }
                 Node::Inner { bbox, left, right, .. } => {
                     if rect.intersects(bbox) {
@@ -262,8 +223,48 @@ impl RangeCounter for KdCountTree {
                 }
             }
         }
-        obs::note_rows_materialized(out.len() / self.ndim);
-        Some(self.ndim)
+        obs::note_rows_materialized(out.len());
+        true
+    }
+}
+
+/// Depth-first node stack: a fixed array, spilling to the heap only past
+/// its depth (median splits keep a tree over 2³² rows shallower than
+/// that). Exactly LIFO: the spill is non-empty only while the array is
+/// full, and it is popped first.
+struct NodeStack {
+    fixed: [u32; 64],
+    top: usize,
+    spill: Vec<u32>,
+}
+
+impl NodeStack {
+    fn new(root: u32) -> Self {
+        let mut stack = Self { fixed: [0; 64], top: 0, spill: Vec::new() };
+        stack.push(root);
+        stack
+    }
+
+    #[inline]
+    fn push(&mut self, id: u32) {
+        if self.top < self.fixed.len() {
+            self.fixed[self.top] = id;
+            self.top += 1;
+        } else {
+            self.spill.push(id);
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
+        if let Some(id) = self.spill.pop() {
+            Some(id)
+        } else if self.top > 0 {
+            self.top -= 1;
+            Some(self.fixed[self.top])
+        } else {
+            None
+        }
     }
 }
 
@@ -282,13 +283,10 @@ fn bbox_of(data: &sth_data::Dataset, ids: &[u32]) -> Rect {
             }
         }
     }
-    // The bbox is used for pruning only; grow the top edge by one ulp so
-    // points on the max coordinate test as inside under half-open semantics.
-    for d in 0..ndim {
-        hi[d] = f64::from_bits(hi[d].to_bits() + 1).max(hi[d]);
-        if lo[d] > hi[d] {
-            std::mem::swap(&mut lo[d], &mut hi[d]);
-        }
+    // Grow the top edge by one ulp so the maximum point tests as inside
+    // the half-open box — whatever its sign.
+    for h in &mut hi {
+        *h = h.next_up();
     }
     Rect::from_bounds(&lo, &hi)
 }
@@ -310,7 +308,8 @@ mod tests {
         let t = KdCountTree::build(&ds);
         assert_eq!(t.total(), 0);
         assert_eq!(t.count(&Rect::cube(2, 0.0, 1.0)), 0);
-        assert!(t.points_in(&Rect::cube(2, 0.0, 1.0)).is_empty());
+        let rs = ResultSetCounter::from_counter(&t, &Rect::cube(2, 0.0, 1.0)).unwrap();
+        assert!(rs.is_empty());
     }
 
     #[test]
@@ -367,9 +366,10 @@ mod tests {
         let ds = CrossSpec::cross2d().scaled(0.02).generate();
         let t = KdCountTree::build(&ds);
         let q = Rect::from_bounds(&[400.0, 0.0], &[600.0, 1000.0]);
-        let pts = t.points_in(&q);
-        assert_eq!(pts.len() as u64, ds.count_in_scan(&q));
-        assert!(pts.iter().all(|p| q.contains_point(p)));
+        let rs = ResultSetCounter::from_counter(&t, &q).unwrap();
+        assert_eq!(rs.len() as u64, ds.count_in_scan(&q));
+        let (rows, d) = rs.flat_rows();
+        assert!(rows.chunks_exact(d).all(|p| q.contains_point(p)));
     }
 
     #[test]
@@ -386,5 +386,81 @@ mod tests {
         let miss = Rect::from_bounds(&[6.0; 3], &[8.0; 3]);
         assert_eq!(t.count(&hit), n as u64);
         assert_eq!(t.count(&miss), 0);
+    }
+
+    /// `count`, the result stream and its recount all equal the scan.
+    fn assert_matches_scan(ds: &sth_data::Dataset, t: &KdCountTree, q: &Rect) {
+        let want = ds.count_in_scan(q);
+        assert_eq!(t.count(q), want, "count on {q}");
+        let rs = ResultSetCounter::from_counter(t, q).unwrap();
+        assert_eq!(rs.len() as u64, want, "result stream of {q}");
+        assert_eq!(rs.count(q), want, "recount of {q}");
+    }
+
+    #[test]
+    fn negative_coordinates_match_scan() {
+        // A leaf whose maximum is negative used to get a top edge one ulp
+        // *below* it, so the box excluded its own maximum point.
+        let n = 200;
+        let x = (0..n).map(|i| -10.0 + (i % 6) as f64).collect();
+        let y = (0..n).map(|i| i as f64).collect();
+        let ds = sth_data::Dataset::from_columns(
+            "negative",
+            Rect::from_bounds(&[-10.0, 0.0], &[0.0, n as f64]),
+            vec![x, y],
+        );
+        let t = KdCountTree::build(&ds);
+        let q = Rect::from_bounds(&[-5.0, 0.0], &[0.0, n as f64]);
+        assert_eq!(ds.count_in_scan(&q), 33);
+        assert_matches_scan(&ds, &t, &q);
+        assert_matches_scan(&ds, &t, ds.domain());
+    }
+
+    #[test]
+    fn constant_negative_column_matches_scan() {
+        // Every x = -5: the column's box used to have zero width, and a
+        // zero-width box intersects nothing.
+        let n = 200;
+        let ds = sth_data::Dataset::from_columns(
+            "constant",
+            Rect::from_bounds(&[-10.0, 0.0], &[0.0, n as f64]),
+            vec![vec![-5.0; n], (0..n).map(|i| i as f64).collect()],
+        );
+        let t = KdCountTree::build(&ds);
+        let q = Rect::from_bounds(&[-10.0, 0.0], &[0.0, n as f64]);
+        assert_eq!(ds.count_in_scan(&q), n as u64);
+        assert_matches_scan(&ds, &t, &q);
+        for z in [-0.0, 0.0] {
+            let zeros = sth_data::Dataset::from_columns(
+                "zeros",
+                Rect::cube(2, -1.0, 1.0),
+                vec![vec![z; n], vec![z; n]],
+            );
+            let t = KdCountTree::build(&zeros);
+            assert_matches_scan(&zeros, &t, &Rect::cube(2, -1.0, 1.0));
+            assert_matches_scan(&zeros, &t, &Rect::cube(2, 0.0, 1.0));
+        }
+    }
+
+    #[test]
+    fn edges_on_data_values_match_scan() {
+        // Integer-valued tuples and queries whose edges are those integers,
+        // on both half-open sides, across negative and positive values.
+        let mut rng = Rng::seed_from_u64(31);
+        let n = 2_000;
+        let cols = (0..3)
+            .map(|_| (0..n).map(|_| f64::from(rng.gen_range(-8i32..=8))).collect())
+            .collect();
+        let ds = sth_data::Dataset::from_columns("ints", Rect::cube(3, -8.0, 9.0), cols);
+        let t = KdCountTree::build(&ds);
+        for _ in 0..300 {
+            let (mut lo, mut hi) = (Vec::new(), Vec::new());
+            for _ in 0..3 {
+                let a = rng.gen_range(-9i32..=8);
+                lo.push(f64::from(a));
+                hi.push(f64::from(rng.gen_range(a..=9)));
+            }
+            assert_matches_scan(&ds, &t, &Rect::from_bounds(&lo, &hi));
+        }
     }
 }

@@ -31,25 +31,17 @@ pub trait RangeCounter {
     /// Total number of tuples.
     fn total(&self) -> u64;
 
-    /// Materializes the result stream of `rect` as flat row-major values,
-    /// when this counter supports it. Callers use this to build a cheap
-    /// per-query [`ResultSetCounter`] and answer all sub-rectangle counts
-    /// of one query from its own result — which is both faster (one index
-    /// probe per query instead of one per candidate hole) and exactly what
-    /// a deployed system observes.
-    fn collect_rows(&self, _rect: &Rect) -> Option<(Vec<f64>, usize)> {
-        None
-    }
-
-    /// Like [`RangeCounter::collect_rows`], but writes into a caller-owned
-    /// buffer (cleared first) and returns the dimensionality. Lets per-query
-    /// hot loops reuse one allocation across queries; the default delegates
-    /// to `collect_rows`.
-    fn collect_rows_into(&self, rect: &Rect, out: &mut Vec<f64>) -> Option<usize> {
-        out.clear();
-        let (rows, ndim) = self.collect_rows(rect)?;
-        out.extend_from_slice(&rows);
-        Some(ndim)
+    /// Executes `rect` and writes its result stream into `out`, replacing
+    /// what `out` held: the rows, row-major, and the zone map that
+    /// [`ResultSetCounter`]'s `count` skips blocks by. Returns `false` when
+    /// this counter cannot materialize rows (a count-only counter).
+    ///
+    /// Callers go through [`ResultSetCounter::refill_from_counter`] and
+    /// answer all sub-rectangle counts of one query from its own result —
+    /// which is both faster (one index probe per query instead of one per
+    /// candidate hole) and exactly what a deployed system observes.
+    fn fill_result(&self, _rect: &Rect, _out: &mut ResultSetCounter) -> bool {
+        false
     }
 }
 
@@ -75,25 +67,11 @@ impl RangeCounter for ScanCounter<'_> {
         self.data.len() as u64
     }
 
-    fn collect_rows(&self, rect: &Rect) -> Option<(Vec<f64>, usize)> {
-        let mut rows = Vec::new();
-        let ndim = self.collect_rows_into(rect, &mut rows)?;
-        Some((rows, ndim))
-    }
-
-    fn collect_rows_into(&self, rect: &Rect, out: &mut Vec<f64>) -> Option<usize> {
-        out.clear();
-        let d = self.data.ndim();
-        for i in 0..self.data.len() {
-            if self.data.row_in(i, rect) {
-                for k in 0..d {
-                    out.push(self.data.value(i, k));
-                }
-            }
-        }
+    fn fill_result(&self, rect: &Rect, out: &mut ResultSetCounter) -> bool {
+        out.fill_by_scan(self.data, rect);
         obs::incr(obs::Counter::IndexProbes);
-        obs::note_rows_materialized(out.len() / d.max(1));
-        Some(d)
+        obs::note_rows_materialized(out.len());
+        true
     }
 }
 
@@ -104,35 +82,54 @@ impl RangeCounter for ScanCounter<'_> {
 /// may only inspect tuples returned by the current query, and every candidate
 /// hole is a sub-rectangle of that query, so counting over the result set
 /// gives exactly the numbers a real system would observe.
+///
+/// **Zone map.** The rows come in *blocks*, each with a half-open box that
+/// holds every row of the block. `count` skips a block whose box misses the
+/// rectangle, takes a block whose box lies inside it whole, and scans only
+/// the rows of the blocks it cuts — the same integers as a plain scan. A
+/// [`KdCountTree`] probe emits one block per contributing leaf, boxed by
+/// `leaf box ∩ query`; rows with no index behind them ([`Self::new`],
+/// [`Self::from_flat`], [`Self::from_query`], [`ScanCounter`]) form one
+/// unbounded block, which `count` always scans.
 pub struct ResultSetCounter {
     /// Row-major values; `rows.len()` is a multiple of `ndim`.
     rows: Vec<f64>,
     ndim: usize,
+    /// Block `b` holds rows `ends[b - 1]..ends[b]` (from row 0 for the
+    /// first block); the last block ends at the last row.
+    ends: Vec<usize>,
+    /// Per block, its packed half-open box (`ndim` lower bounds, then
+    /// `ndim` upper bounds), holding every row of the block.
+    boxes: Vec<f64>,
 }
 
 impl ResultSetCounter {
     /// Builds the counter from materialized result rows.
     pub fn new(points: Vec<Vec<f64>>) -> Self {
         let ndim = points.first().map_or(1, Vec::len);
-        let mut rows = Vec::with_capacity(points.len() * ndim);
+        let mut out = Self::empty(ndim);
+        out.rows.reserve(points.len() * ndim);
         for p in &points {
             assert_eq!(p.len(), ndim, "ragged result rows");
-            rows.extend_from_slice(p);
+            out.rows.extend_from_slice(p);
         }
-        Self { rows, ndim }
+        out.close_unbounded_block();
+        out
     }
 
     /// Builds the counter from flat row-major values.
     pub fn from_flat(rows: Vec<f64>, ndim: usize) -> Self {
         assert!(ndim > 0 && rows.len().is_multiple_of(ndim), "row buffer not a multiple of ndim");
-        Self { rows, ndim }
+        let mut out = Self { rows, ndim, ends: Vec::new(), boxes: Vec::new() };
+        out.close_unbounded_block();
+        out
     }
 
-    /// Executes `query` against `counter` and wraps its result stream.
-    /// Falls back to an empty counter when the underlying counter cannot
-    /// materialize rows.
+    /// Executes `query` against `counter` and wraps its result stream, or
+    /// `None` when the counter cannot materialize rows.
     pub fn from_counter(counter: &dyn RangeCounter, query: &Rect) -> Option<Self> {
-        counter.collect_rows(query).map(|(rows, ndim)| Self::from_flat(rows, ndim))
+        let mut out = Self::empty(query.ndim());
+        out.refill_from_counter(counter, query).then_some(out)
     }
 
     /// Creates an empty counter whose row buffer can be refilled per query
@@ -140,42 +137,28 @@ impl ResultSetCounter {
     /// allocation across queries.
     pub fn empty(ndim: usize) -> Self {
         assert!(ndim > 0, "ndim must be positive");
-        Self { rows: Vec::new(), ndim }
+        Self { rows: Vec::new(), ndim, ends: Vec::new(), boxes: Vec::new() }
     }
 
     /// Re-executes this counter against a new query, reusing the existing
-    /// row buffer. Returns `false` (leaving the counter empty) when the
+    /// buffers. Returns `false` (leaving the counter empty) when the
     /// underlying counter cannot materialize rows.
     pub fn refill_from_counter(&mut self, counter: &dyn RangeCounter, query: &Rect) -> bool {
-        match counter.collect_rows_into(query, &mut self.rows) {
-            Some(ndim) => {
-                assert!(
-                    ndim > 0 && self.rows.len().is_multiple_of(ndim),
-                    "row buffer not a multiple of ndim"
-                );
-                self.ndim = ndim;
-                true
-            }
-            None => {
-                self.rows.clear();
-                false
-            }
+        if counter.fill_result(query, self) {
+            debug_assert_eq!(self.ends.last().copied().unwrap_or(0), self.len());
+            true
+        } else {
+            self.reset(self.ndim);
+            false
         }
     }
 
     /// Collects the result stream of `query` from a dataset (what the
     /// execution engine would hand back).
     pub fn from_query(data: &sth_data::Dataset, query: &Rect) -> Self {
-        let d = data.ndim();
-        let mut rows = Vec::new();
-        for i in 0..data.len() {
-            if data.row_in(i, query) {
-                for k in 0..d {
-                    rows.push(data.value(i, k));
-                }
-            }
-        }
-        Self { rows, ndim: d }
+        let mut out = Self::empty(data.ndim());
+        out.fill_by_scan(data, query);
+        out
     }
 
     /// Number of tuples in the result.
@@ -196,6 +179,68 @@ impl ResultSetCounter {
     pub fn flat_rows(&self) -> (&[f64], usize) {
         (&self.rows, self.ndim)
     }
+
+    /// Drops every row and block and sets the dimensionality, keeping the
+    /// allocations.
+    fn reset(&mut self, ndim: usize) {
+        assert!(ndim > 0, "ndim must be positive");
+        self.rows.clear();
+        self.ends.clear();
+        self.boxes.clear();
+        self.ndim = ndim;
+    }
+
+    /// Replaces the contents by the rows of `data` inside `query`, in
+    /// dataset order, as one unbounded block.
+    fn fill_by_scan(&mut self, data: &sth_data::Dataset, query: &Rect) {
+        self.reset(data.ndim());
+        for i in 0..data.len() {
+            if data.row_in(i, query) {
+                for k in 0..self.ndim {
+                    self.rows.push(data.value(i, k));
+                }
+            }
+        }
+        self.close_unbounded_block();
+    }
+
+    /// Ends a block at the last row pushed, with the packed box given by
+    /// its lower and upper bounds. The caller pushed at least one row since
+    /// the previous block, and the box holds every one of them.
+    #[inline]
+    fn close_block(
+        &mut self,
+        lo: impl IntoIterator<Item = f64>,
+        hi: impl IntoIterator<Item = f64>,
+    ) {
+        let start = self.ends.last().copied().unwrap_or(0);
+        let end = self.len();
+        debug_assert!(end > start, "a block holds at least one row");
+        self.ends.push(end);
+        let at = self.boxes.len();
+        self.boxes.extend(lo);
+        self.boxes.extend(hi);
+        debug_assert_eq!(self.boxes.len() - at, 2 * self.ndim, "box arity");
+        debug_assert!(
+            self.rows[start * self.ndim..].chunks_exact(self.ndim).all(|row| {
+                let (lo, hi) = self.boxes[at..].split_at(self.ndim);
+                (0..self.ndim).all(|k| lo[k] <= row[k] && row[k] < hi[k])
+            }),
+            "a block's box must hold its rows"
+        );
+    }
+
+    /// Puts the rows after the last block into one unbounded block, which
+    /// `count` always scans.
+    fn close_unbounded_block(&mut self) {
+        if self.ends.last().copied().unwrap_or(0) < self.len() {
+            let d = self.ndim;
+            self.close_block(
+                std::iter::repeat_n(f64::NEG_INFINITY, d),
+                std::iter::repeat_n(f64::INFINITY, d),
+            );
+        }
+    }
 }
 
 impl RangeCounter for ResultSetCounter {
@@ -209,18 +254,44 @@ impl RangeCounter for ResultSetCounter {
         }
         obs::incr(obs::Counter::ResultRecounts);
         debug_assert_eq!(rect.ndim(), self.ndim);
+        let d = self.ndim;
         let lo = rect.lo();
         let hi = rect.hi();
         let mut hits = 0u64;
-        'rows: for row in self.rows.chunks_exact(self.ndim) {
-            for k in 0..self.ndim {
-                let v = row[k];
-                if v < lo[k] || v >= hi[k] {
-                    continue 'rows;
+        // Accumulated locally and flushed once, like the kd walk's node
+        // count: this loop is the recount hot path.
+        let mut scanned = 0usize;
+        let mut start = 0usize;
+        'blocks: for (&end, bx) in self.ends.iter().zip(self.boxes.chunks_exact(2 * d)) {
+            let (blo, bhi) = bx.split_at(d);
+            let block_start = start;
+            start = end;
+            // Exact because the box holds every row of the block: a box
+            // that misses `rect` holds no row inside it, and a box inside
+            // `rect` holds only rows inside it.
+            let mut inside = true;
+            for k in 0..d {
+                if bhi[k] <= lo[k] || blo[k] >= hi[k] {
+                    continue 'blocks;
                 }
+                inside &= lo[k] <= blo[k] && bhi[k] <= hi[k];
             }
-            hits += 1;
+            if inside {
+                hits += (end - block_start) as u64;
+                continue;
+            }
+            scanned += end - block_start;
+            'rows: for row in self.rows[block_start * d..end * d].chunks_exact(d) {
+                for k in 0..d {
+                    let v = row[k];
+                    if v < lo[k] || v >= hi[k] {
+                        continue 'rows;
+                    }
+                }
+                hits += 1;
+            }
         }
+        obs::add(obs::Counter::ResultRowsScanned, scanned as u64);
         hits
     }
 
@@ -232,7 +303,11 @@ impl RangeCounter for ResultSetCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
     use sth_data::cross::CrossSpec;
+    use sth_data::Dataset;
+    use sth_platform::check::prelude::*;
+    use sth_platform::rng::Rng;
 
     #[test]
     fn scan_counter_totals() {
@@ -318,5 +393,215 @@ mod tests {
         assert!(!reused.is_empty());
         assert!(!reused.refill_from_counter(&CountOnly, &q));
         assert!(reused.is_empty());
+    }
+
+    /// A grid value in `[-3, 3]` on steps of 0.5: coarse, so that rectangle
+    /// edges land exactly on row values.
+    fn grid_value(rng: &mut Rng) -> f64 {
+        f64::from(rng.gen_range(-6i32..=6)) * 0.5
+    }
+
+    /// A rectangle with grid edges, non-empty in every dimension.
+    fn grid_rect(ndim: usize, rng: &mut Rng) -> Rect {
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        for _ in 0..ndim {
+            let a = rng.gen_range(-7i32..=6);
+            let b = rng.gen_range(a + 1..=7);
+            lo.push(f64::from(a) * 0.5);
+            hi.push(f64::from(b) * 0.5);
+        }
+        Rect::from_bounds(&lo, &hi)
+    }
+
+    fn plain_scan(rows: &[f64], ndim: usize, rect: &Rect) -> u64 {
+        rows.chunks_exact(ndim).filter(|row| rect.contains_point(row)).count() as u64
+    }
+
+    /// `n` random grid rows, blocked per `layout`: 0 random-length blocks
+    /// with widened tight boxes (the last one sometimes unbounded), 1
+    /// single-row blocks, 2 one unbounded block (`from_flat`), 3 as 0 but
+    /// half of the blocks drawn inside one of `rects` and boxed by exactly
+    /// it.
+    fn zone_mapped(
+        ndim: usize,
+        n: usize,
+        layout: u8,
+        rects: &[Rect],
+        rng: &mut Rng,
+    ) -> ResultSetCounter {
+        if layout == 2 {
+            let rows = (0..n * ndim).map(|_| grid_value(rng)).collect();
+            return ResultSetCounter::from_flat(rows, ndim);
+        }
+        let mut rs = ResultSetCounter::empty(ndim);
+        let mut left = n;
+        while left > 0 {
+            let len = if layout == 1 { 1 } else { rng.gen_range(1..=left.min(20)) };
+            left -= len;
+            if layout == 3 && rng.gen_bool(0.5) {
+                let r = &rects[rng.gen_range(0..rects.len())];
+                for _ in 0..len {
+                    for k in 0..ndim {
+                        let steps = ((r.hi()[k] - r.lo()[k]) / 0.5) as u32;
+                        rs.rows.push(r.lo()[k] + f64::from(rng.gen_range(0..steps)) * 0.5);
+                    }
+                }
+                rs.close_block(r.lo().iter().copied(), r.hi().iter().copied());
+                continue;
+            }
+            let start = rs.rows.len();
+            rs.rows.extend((0..len * ndim).map(|_| grid_value(rng)));
+            if left == 0 && layout == 0 && rng.gen_bool(0.3) {
+                rs.close_unbounded_block();
+                break;
+            }
+            let block = &rs.rows[start..];
+            let (mut lo, mut hi) = (vec![f64::INFINITY; ndim], vec![f64::NEG_INFINITY; ndim]);
+            for row in block.chunks_exact(ndim) {
+                for k in 0..ndim {
+                    lo[k] = lo[k].min(row[k]);
+                    hi[k] = hi[k].max(row[k]);
+                }
+            }
+            let widen = f64::from(rng.gen_range(0u8..=2)) * 0.5;
+            rs.close_block(
+                lo.into_iter().map(|v| v - widen),
+                hi.into_iter().map(|v| v.next_up() + widen),
+            );
+        }
+        rs
+    }
+
+    /// A random query over `ds` whose edges are data values half the time,
+    /// and a random sub-rectangle of a query.
+    fn query_edges(ds: &Dataset, bounds: &Rect, min_frac: f64, rng: &mut Rng) -> Rect {
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        for k in 0..ds.ndim() {
+            let (blo, bhi) = (bounds.lo()[k], bounds.hi()[k]);
+            let w = (bhi - blo) * rng.gen_range(min_frac..1.0);
+            let mut a = blo + rng.gen_range(0.0..1.0) * (bhi - blo - w);
+            if rng.gen_bool(0.5) {
+                a = ds.value(rng.gen_range(0..ds.len()), k).clamp(blo, bhi);
+            }
+            let mut b = (a + w).min(bhi);
+            if rng.gen_bool(0.5) {
+                b = ds.value(rng.gen_range(0..ds.len()), k).clamp(a, bhi);
+            }
+            lo.push(a);
+            hi.push(b);
+        }
+        Rect::from_bounds(&lo, &hi)
+    }
+
+    /// Sky ×0.01 and a 3-d table with negative coordinates: a grid column
+    /// in [-10, -5], a constant -5 column and a column in [-1, 0] holding
+    /// both zeros.
+    fn tables() -> &'static [(Dataset, KdCountTree)] {
+        static TABLES: OnceLock<Vec<(Dataset, KdCountTree)>> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let sky = sth_data::sky::SkySpec::scaled(0.01).generate();
+            let mut rng = Rng::seed_from_u64(0x2E6);
+            let n = 3_000;
+            let x = (0..n).map(|_| f64::from(rng.gen_range(-10i32..=-5))).collect();
+            let z = (0..n)
+                .map(|i| match i % 7 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => -rng.gen_range(0.0f64..1.0),
+                })
+                .collect();
+            let neg = Dataset::from_columns(
+                "negative",
+                Rect::from_bounds(&[-10.0, -5.0, -1.0], &[-4.0, -4.0, 1.0]),
+                vec![x, vec![-5.0; n], z],
+            );
+            [sky, neg]
+                .into_iter()
+                .map(|ds| {
+                    let kd = KdCountTree::build(&ds);
+                    (ds, kd)
+                })
+                .collect()
+        })
+    }
+
+    check! {
+        cases = 96;
+
+        /// A zone-mapped count equals the plain scan over the same rows,
+        /// for every block layout: random partitions with boxes that hold
+        /// their rows, single-row blocks, blocks boxed by exactly a counted
+        /// rectangle, the single unbounded block, and no rows at all.
+        fn zone_mapped_count_equals_plain_scan(
+            ndim in 1usize..9,
+            n in 0usize..160,
+            layout in 0u8..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let rects: Vec<Rect> = (0..24).map(|_| grid_rect(ndim, &mut rng)).collect();
+            let rs = zone_mapped(ndim, n, layout, &rects, &mut rng);
+            prop_assert_eq!(rs.len(), n);
+            let (rows, _) = rs.flat_rows();
+            for r in &rects {
+                prop_assert_eq!(rs.count(r), plain_scan(rows, ndim, r), "on {}", r);
+            }
+        }
+    }
+
+    check! {
+        cases = 24;
+
+        /// Result streams from the kd index and from a scan answer random
+        /// sub-rectangles of their query exactly as a scan of the table
+        /// does, on Sky and on negative coordinates.
+        fn kd_and_scan_streams_count_like_the_table(
+            table in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (ds, kd) = &tables()[table];
+            let mut rng = Rng::seed_from_u64(seed);
+            let q = query_edges(ds, ds.domain(), 0.5, &mut rng);
+            let mut via_kd = ResultSetCounter::empty(1);
+            let mut via_scan = ResultSetCounter::empty(1);
+            prop_assert!(via_kd.refill_from_counter(kd, &q));
+            prop_assert!(via_scan.refill_from_counter(&ScanCounter::new(ds), &q));
+            prop_assert_eq!(via_kd.len() as u64, ds.count_in_scan(&q));
+            prop_assert_eq!(via_scan.len(), via_kd.len());
+            for _ in 0..12 {
+                let sub = query_edges(ds, &q, 0.0, &mut rng);
+                let want = ds.count_in_scan(&sub);
+                prop_assert_eq!(via_kd.count(&sub), want, "kd stream on {}", sub);
+                prop_assert_eq!(via_scan.count(&sub), want, "scan stream on {}", sub);
+            }
+        }
+    }
+
+    #[test]
+    fn recount_skips_blocks_that_touch_only_an_open_edge() {
+        // Two blocks that share the face x = 1: counting either side's
+        // rectangle takes one block whole and skips the other without
+        // testing a row, because a half-open box that ends where the
+        // rectangle starts (or starts where it ends) holds no row inside it.
+        obs::force_metrics(true);
+        let mut rs = ResultSetCounter::empty(2);
+        rs.rows.extend_from_slice(&[0.0, 0.0, 0.5, 0.5]);
+        rs.close_block([0.0, 0.0], [1.0, 1.0]);
+        rs.rows.extend_from_slice(&[1.0, 0.0, 1.5, 0.5]);
+        rs.close_block([1.0, 0.0], [2.0, 1.0]);
+        for (rect, want) in [
+            (Rect::from_bounds(&[0.0, 0.0], &[1.0, 1.0]), 2),
+            (Rect::from_bounds(&[1.0, 0.0], &[2.0, 1.0]), 2),
+            (Rect::from_bounds(&[0.0, 0.0], &[2.0, 1.0]), 4),
+        ] {
+            let before = obs::snapshot();
+            assert_eq!(rs.count(&rect), want, "on {rect}");
+            let scanned = obs::snapshot().delta(&before).get(obs::Counter::ResultRowsScanned);
+            assert_eq!(scanned, 0, "rows tested one by one on {rect}");
+        }
+        // A rectangle that cuts both blocks tests every row.
+        let before = obs::snapshot();
+        assert_eq!(rs.count(&Rect::from_bounds(&[0.25, 0.0], &[1.25, 1.0])), 2);
+        assert_eq!(obs::snapshot().delta(&before).get(obs::Counter::ResultRowsScanned), 4);
     }
 }

@@ -58,7 +58,7 @@ use hist::N_HISTS;
 pub enum Counter {
     /// Queries pushed through `evaluate_self_tuning`.
     Queries,
-    /// Index executions: one per `count`/`collect_rows` against a dataset
+    /// Index executions: one per `count`/`fill_result` against a dataset
     /// index (`KdCountTree`, `ScanCounter`). The feedback loop's contract
     /// is **one probe per query**.
     IndexProbes,
@@ -67,6 +67,10 @@ pub enum Counter {
     /// Counts answered from an already-materialized result set (candidate
     /// holes during drilling). Cheap; not index work.
     ResultRecounts,
+    /// Result rows those recounts tested one by one: the rows of the
+    /// zone-map blocks a counted rectangle cuts (skipped blocks and blocks
+    /// taken whole cost no row tests).
+    ResultRowsScanned,
     /// k-d tree nodes visited across all probes.
     KdNodesVisited,
     /// Holes drilled into the bucket tree.
@@ -131,11 +135,12 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
         Counter::ResultRecounts,
+        Counter::ResultRowsScanned,
         Counter::KdNodesVisited,
         Counter::Drills,
         Counter::Merges,
@@ -170,6 +175,7 @@ impl Counter {
             Counter::IndexProbes => "index_probes",
             Counter::ResultRows => "result_rows",
             Counter::ResultRecounts => "result_recounts",
+            Counter::ResultRowsScanned => "result_rows_scanned",
             Counter::KdNodesVisited => "kd_nodes_visited",
             Counter::Drills => "drills",
             Counter::Merges => "merges",

@@ -47,14 +47,13 @@ fn main() {
     for (i, q) in workload.queries().iter().enumerate() {
         // The system executes the query; the histogram may only see the
         // result rows. Both estimates are recorded *before* refinement.
-        let result_rows = engine.points_in(q.rect());
-        let truth = result_rows.len() as f64;
+        let feedback = ResultSetCounter::from_counter(&engine, q.rect()).unwrap();
+        let truth = feedback.len() as f64;
         err_f += (feedback_only.estimate(q.rect()) - truth).abs();
         err_i += (initialized.estimate(q.rect()) - truth).abs();
         window += 1;
 
         // Feedback-only refinement: counts come from the result stream.
-        let feedback = ResultSetCounter::new(result_rows);
         feedback_only.refine(q.rect(), &feedback);
         initialized.refine(q.rect(), &feedback);
 

@@ -18,8 +18,7 @@ fn result_stream_feedback_equals_index_feedback() {
         .generate(data.domain(), None);
     for q in wl.queries() {
         // The deployed path: execute the query, wrap its result rows.
-        let rows = engine.points_in(q.rect());
-        let feedback = ResultSetCounter::new(rows);
+        let feedback = ResultSetCounter::from_counter(&engine, q.rect()).unwrap();
         via_results.refine(q.rect(), &feedback);
         // The simulation path: give the histogram the dataset-wide index.
         via_index.refine(q.rect(), &engine);
@@ -53,8 +52,7 @@ fn result_counter_only_sees_its_own_query() {
         &[300.0, 300.0, 1000.0, 1000.0, 1000.0, 1000.0],
     );
     let engine = KdCountTree::build(&data);
-    let rows = engine.points_in(&q);
-    let feedback = ResultSetCounter::new(rows);
+    let feedback = ResultSetCounter::from_counter(&engine, &q).unwrap();
     let elsewhere = Rect::from_bounds(
         &[700.0, 700.0, 0.0, 0.0, 0.0, 0.0],
         &[900.0, 900.0, 1000.0, 1000.0, 1000.0, 1000.0],
