@@ -18,11 +18,20 @@ pub struct Dataset {
 impl Dataset {
     /// Creates a dataset from column vectors. All columns must have equal
     /// length and values must lie inside `domain`.
+    ///
+    /// # Panics
+    ///
+    /// On ragged columns, and on any NaN or infinite value: the index and
+    /// the boxes built over a dataset order and bound its values, which
+    /// only finite values allow.
     pub fn from_columns(name: impl Into<String>, domain: Rect, cols: Vec<Vec<f64>>) -> Self {
         assert_eq!(cols.len(), domain.ndim(), "column count must match domain dimensionality");
         let len = cols.first().map_or(0, Vec::len);
         for (d, c) in cols.iter().enumerate() {
             assert_eq!(c.len(), len, "column {d} has inconsistent length");
+            if let Some(i) = c.iter().position(|v| !v.is_finite()) {
+                panic!("column {d}, row {i}: non-finite value {}", c[i]);
+            }
         }
         Self { name: name.into(), domain, cols, len }
     }
@@ -233,6 +242,33 @@ mod tests {
             assert!(br.hi()[0] > x, "upper edge {} not above {x}", br.hi()[0]);
             assert!(br.contains_point(&[x]));
         }
+    }
+
+    /// A two-column table whose second column holds `bad` at row 1.
+    fn with_bad_value(bad: f64) -> Dataset {
+        Dataset::from_columns(
+            "bad",
+            Rect::cube(2, 0.0, 1.0),
+            vec![vec![0.0, 0.5, 0.25], vec![0.0, bad, 0.25]],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1, row 1: non-finite value NaN")]
+    fn rejects_nan() {
+        let _ = with_bad_value(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1, row 1: non-finite value inf")]
+    fn rejects_positive_infinity() {
+        let _ = with_bad_value(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1, row 1: non-finite value -inf")]
+    fn rejects_negative_infinity() {
+        let _ = with_bad_value(f64::NEG_INFINITY);
     }
 
     #[test]

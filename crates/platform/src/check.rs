@@ -142,6 +142,8 @@ impl Strategy for std::ops::Range<f64> {
 
     fn shrink(&self, seed: &f64) -> Vec<f64> {
         let (lo, v) = (self.start, *seed);
+        // Negated on purpose: a NaN seed has nothing to shrink to either.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(v > lo) {
             return Vec::new();
         }
@@ -445,7 +447,7 @@ where
     let master = std::env::var("STH_CHECK_SEED")
         .ok()
         .and_then(|v| parse_seed(&v))
-        .unwrap_or(0x5EED_0F_57_B0_15);
+        .unwrap_or(0x5EED_0F57_B015);
     // FNV-1a over the test name: each property gets its own seed stream
     // under one master seed.
     let mut seeder = Rng::seed_from_u64(master ^ crate::codec::fnv1a(name.as_bytes()));

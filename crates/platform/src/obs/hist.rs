@@ -267,6 +267,8 @@ impl ValueHist {
 /// Decomposing `q` into its mantissa and exponent keeps every
 /// intermediate exact for all `u64` totals.
 fn quantile_rank(q: f64, total: u64) -> u64 {
+    // Negated on purpose: NaN takes this branch too.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     if !(q > 0.0) {
         return 1; // also absorbs NaN, like the old clamp did
     }

@@ -80,13 +80,18 @@ pub enum Counter {
     /// Stale-heavy merge-heap rebuilds.
     HeapRebuilds,
     /// Sibling-merge box-extension fixpoints run: one per candidate pair
-    /// of a parent whose memoized sibling geometry is rebuilt, plus one
-    /// per applied sibling merge.
+    /// of a parent whose memoized sibling geometry is refreshed after a
+    /// child-list change and not kept by the repair, plus one per applied
+    /// sibling merge.
     SiblingFixpoints,
-    /// Sibling fixpoints of a memo rebuild settled at the children hull
+    /// Sibling fixpoints of a memo refresh settled at the children hull
     /// by a hull-closing witness instead of sweeping to stability (a
     /// subset of `SiblingFixpoints`).
     SiblingHullJumps,
+    /// Candidate pairs a sibling-memo repair kept, box and all, without
+    /// a sweep after the parent's child list changed (not counted in
+    /// `SiblingFixpoints`).
+    SiblingMemoKept,
     /// Whole sibling groups skipped by the cached children-hull gate.
     HullGatePrunes,
     /// IPF sweeps over the constraint window.
@@ -135,7 +140,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in JSON/report order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 31] = [
         Counter::Queries,
         Counter::IndexProbes,
         Counter::ResultRows,
@@ -147,6 +152,7 @@ impl Counter {
         Counter::HeapRebuilds,
         Counter::SiblingFixpoints,
         Counter::SiblingHullJumps,
+        Counter::SiblingMemoKept,
         Counter::HullGatePrunes,
         Counter::IpfSweeps,
         Counter::IpfInnerIters,
@@ -182,6 +188,7 @@ impl Counter {
             Counter::HeapRebuilds => "heap_rebuilds",
             Counter::SiblingFixpoints => "sibling_fixpoints",
             Counter::SiblingHullJumps => "sibling_hull_jumps",
+            Counter::SiblingMemoKept => "sibling_memo_kept",
             Counter::HullGatePrunes => "hull_gate_prunes",
             Counter::IpfSweeps => "ipf_sweeps",
             Counter::IpfInnerIters => "ipf_inner_iters",
@@ -282,8 +289,9 @@ impl StatAgg {
 
 thread_local! {
     static COUNTERS: [Cell<u64>; N_COUNTERS] = const { [const { Cell::new(0) }; N_COUNTERS] };
-    static STATS: [Cell<StatAgg>; N_STATS] =
-        [const { Cell::new(StatAgg { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }) }; N_STATS];
+    static STATS: [Cell<StatAgg>; N_STATS] = const {
+        [const { Cell::new(StatAgg { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }) }; N_STATS]
+    };
     // Dense per-kind bucket arrays, allocated lazily on first recording.
     // Dense keeps `record_hist` a single indexed bump; `snapshot` converts
     // to the sparse mergeable form.

@@ -35,8 +35,8 @@ impl StHoles {
             &mut targets,
             &mut self.scratch.stack,
         );
-        for i in 0..targets.len() {
-            self.drill_one(targets[i], &q, feedback);
+        for &id in &targets {
+            self.drill_one(id, &q, feedback);
         }
         self.scratch.targets = targets;
     }

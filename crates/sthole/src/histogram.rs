@@ -33,13 +33,16 @@ pub struct SthConfig {
     pub min_hole_volume_frac: f64,
     /// Merge shapes allowed during compaction.
     pub merge_policy: MergePolicy,
-    /// When a bucket has more children than this, sibling-merge search is
-    /// restricted per child to its `sibling_neighbor_cap` nearest siblings
-    /// (smallest hull-volume growth) instead of all pairs. The cheapest
-    /// merge is almost always between hull-compatible neighbors, so this
-    /// preserves merge quality while turning the per-merge cost from
-    /// O(children³) into O(children²). `None` forces the exact all-pairs
-    /// search everywhere.
+    /// Prunes the sibling-merge search of wide parents. With `Some(cap)`,
+    /// a bucket with at most `2·max(cap, 2)` children has every pair of
+    /// children evaluated. Above that, the evaluated pairs are each
+    /// child's `min(cap, 2)` lowest-growth partners (growth: volume of
+    /// the pair's hull minus the volumes of both children), plus the
+    /// `max(8·cap, 16)` lowest-growth pairs overall. The cheapest merge
+    /// is almost always between hull-compatible neighbors, so this
+    /// preserves merge quality while evaluating O(children) pairs instead
+    /// of O(children²). `None` forces the exact all-pairs search
+    /// everywhere.
     pub sibling_neighbor_cap: Option<usize>,
 }
 

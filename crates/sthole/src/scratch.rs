@@ -12,7 +12,7 @@
 //!   dead storage between calls.
 
 use crate::arena::BucketId;
-use crate::merge::HullWitnesses;
+use crate::merge::{HullWitnesses, ListEdit};
 
 /// Reusable buffers for the refine hot path. Contents are meaningless
 /// between operations; only the allocated capacity matters.
@@ -43,6 +43,8 @@ pub(crate) struct RefineScratch {
     /// Children not yet absorbed by the tentative merged box — the
     /// extension loop's shrinking worklist.
     pub active: Vec<u32>,
-    /// Hull-closing witnesses of the sibling memo being rebuilt.
+    /// Hull-closing witnesses of the sibling memo being refreshed.
     pub witnesses: HullWitnesses,
+    /// The child-list edit and repair plan of the memo being refreshed.
+    pub edit: ListEdit,
 }

@@ -115,8 +115,8 @@ check! {
         // sibling fixpoints are reused and invalidated. Twice the budget in
         // queries keeps compaction recycling slots; periodic decay
         // rescales every frequency and drops all cached state. Wide
-        // parents are where hull-closing witnesses settle fixpoints, so
-        // the oracle checks that path here.
+        // parents are where memo repairs keep pairs and hull-closing
+        // witnesses settle fixpoints, so the oracle checks both here.
         let mut rng = Rng::seed_from_u64(seed);
         let domain = Rect::cube(ndim, 0.0, 100.0);
         let columns = (0..ndim)
@@ -135,6 +135,7 @@ check! {
         // Counters are thread-local, so the delta is this case's own.
         force_metrics(true);
         let jumps = read(Counter::SiblingHullJumps);
+        let kept = read(Counter::SiblingMemoKept);
         for i in 0..2 * budget + 40 {
             let lo: Vec<f64> = (0..ndim).map(|_| rng.gen_range(0.0..75.0)).collect();
             let hi: Vec<f64> = lo.iter().map(|&l| l + rng.gen_range(10.0..25.0)).collect();
@@ -152,7 +153,11 @@ check! {
         prop_assert!(max_fanout > 12, "root fanout peaked at {max_fanout}");
         prop_assert!(
             read(Counter::SiblingHullJumps) > jumps,
-            "no memo rebuild settled a fixpoint at the children hull"
+            "no memo refresh settled a fixpoint at the children hull"
+        );
+        prop_assert!(
+            read(Counter::SiblingMemoKept) > kept,
+            "no memo repair kept a pair across a child-list edit"
         );
         prop_assert!(shadow.to_bytes() == h.to_bytes(), "the shadow histogram diverged");
         let mut cold = h.clone();

@@ -34,7 +34,7 @@ fn absorb_reports_sequence_truth_and_flushed_generation() {
         let report = trainer.absorb(q, &counter).expect("absorb");
         assert_eq!(report.seq, seq);
         assert_eq!(report.truth, counter.count(q) as f64, "truth is the query's row count");
-        let expected_gen = (seq % 4 == 0).then_some(1 + seq / 4);
+        let expected_gen = seq.is_multiple_of(4).then_some(1 + seq / 4);
         assert_eq!(report.flushed_gen, expected_gen, "absorb {seq}");
         assert_eq!(trainer.store().pending_deltas() as u64, seq % 4);
     }
