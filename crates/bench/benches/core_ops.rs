@@ -2,7 +2,8 @@
 //! and frozen read path), hole drilling, merge search, the concurrent
 //! serve loop, the poll-based serving engine (coalesced vs single-request
 //! services), durability (delta append, snapshot flush, cold recovery),
-//! exact range counting (k-d tree vs scan), and MineClus clustering.
+//! the k-d index (count, result stream, build), exact range counting (k-d
+//! tree vs scan), and MineClus clustering.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -429,6 +430,45 @@ fn bench_best_merge(c: &mut Bench) {
     c.bench_function("best_merge_scan_250", |b| b.iter(|| black_box(h.best_merge())));
 }
 
+fn bench_index(c: &mut Bench) {
+    // The execution engine's three costs on the benchmark's tables: the
+    // truth counts of serve_read's stream (its first 256 queries at the
+    // default seed, Sky ×0.05), the same queries materialized as result
+    // streams, and the build of one serve_mixed tenant's index (Sky ×0.05
+    // projected to dims 0–2).
+    let sky7 = DatasetSpec::Sky.generate(0.05);
+    let index = KdCountTree::build(&sky7);
+    let stream: Vec<Rect> = WorkloadSpec { count: 256, ..WorkloadSpec::paper(0.01, 0xE0) }
+        .generate(sky7.domain(), None)
+        .queries()
+        .iter()
+        .map(|q| q.rect().clone())
+        .collect();
+    let sky3 = sky7.project(&[0, 1, 2]);
+    let mut g = c.benchmark_group("index");
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(3));
+    g.sample_size(10);
+    g.bench_function("kd_count_sky7d", |b| {
+        b.iter(|| stream.iter().map(|q| index.count(q)).sum::<u64>())
+    });
+    g.bench_function("kd_fill_sky7d", |b| {
+        let mut result = ResultSetCounter::empty(sky7.ndim());
+        b.iter(|| {
+            let mut rows = 0;
+            for q in &stream {
+                result.refill_from_counter(&index, q);
+                rows += result.len();
+            }
+            rows
+        })
+    });
+    g.bench_function("kd_build_sky3d", |b| {
+        b.iter(|| KdCountTree::build(black_box(&sky3)).total())
+    });
+    g.finish();
+}
+
 fn bench_counting(c: &mut Bench) {
     // `ablation_index`: the k-d tree vs a full scan for exact range counts.
     let prep = cross_fixture();
@@ -532,6 +572,7 @@ fn main() {
     bench_refine_steady(&mut c);
     bench_traversal(&mut c);
     bench_best_merge(&mut c);
+    bench_index(&mut c);
     bench_counting(&mut c);
     bench_mineclus(&mut c);
     bench_obs_overhead(&mut c);

@@ -8,8 +8,8 @@
 //!
 //! Only the groups in `GATED_GROUPS` are gated — the operations the perf
 //! work targets (refine, estimation, serving, the store, MineClus
-//! clustering) plus the pinned cost of disabled telemetry; dataset/index
-//! ablations are informational. The default allowance is 30%: fresh runs
+//! clustering, the k-d index) plus the pinned cost of disabled telemetry;
+//! the k-d-tree-vs-scan ablation is informational. The default allowance is 30%: fresh runs
 //! come from `STH_BENCH_FAST=1` smoke mode on whatever machine is at hand,
 //! so the gate hunts order-of-magnitude regressions (an accidentally
 //! quadratic merge scan), not single-digit noise.
@@ -28,6 +28,7 @@ const GATED_GROUPS: &[&str] = &[
     "registry_route",
     "store_ops",
     "mineclus",
+    "index",
     "obs_overhead",
 ];
 

@@ -1,11 +1,13 @@
 //! Bulk-loaded k-d tree with subtree counts.
 //!
-//! Layout notes: nodes live in one flat arena and leaf points in one flat
-//! row-major buffer. Range counting over large boxes (the common case for
-//! the paper's 1–2%-volume queries in 7 dimensions, whose side length is
-//! >50% of the domain) visits many boundary leaves, so the leaf scan is the
-//! > hot loop — keeping it allocation-free and cache-linear is what makes the
-//! > 20,000-query experiments tractable.
+//! Layout notes: nodes live in one flat arena, their boxes in one flat
+//! array of `2·d` floats per node, and leaf rows in one buffer, leaf after
+//! leaf, each leaf column-major. Range counting over large boxes (the
+//! common case for the paper's 1–2%-volume queries in 7 dimensions, whose
+//! side length is >50% of the domain) visits many boundary leaves, so the
+//! leaf scan is the hot loop: it tests only the dimensions the query cuts
+//! through the leaf's box, one column at a time with no branch per value,
+//! and allocates nothing.
 
 use sth_geometry::Rect;
 use sth_platform::obs;
@@ -16,10 +18,9 @@ use crate::{RangeCounter, ResultSetCounter};
 /// that boundary-leaf scans stay cheap.
 const LEAF_SIZE: usize = 64;
 
+#[derive(Clone, Copy)]
 enum Node {
     Inner {
-        /// Bounding box of all points below this node.
-        bbox: Rect,
         /// Tuples below this node.
         count: u64,
         /// Child node indices.
@@ -27,8 +28,7 @@ enum Node {
         right: u32,
     },
     Leaf {
-        bbox: Rect,
-        /// Range of rows in the flat point buffer.
+        /// Range of rows in the leaf buffer.
         start: u32,
         end: u32,
     },
@@ -52,12 +52,16 @@ enum Node {
 /// assert_eq!(index.total(), data.len() as u64);
 /// ```
 pub struct KdCountTree {
+    /// Pre-order: the root is node 0.
     nodes: Vec<Node>,
-    /// Row-major point storage, leaf-contiguous.
-    points: Vec<f64>,
+    /// Per node, its half-open bounding box: `ndim` lower bounds, then
+    /// `ndim` upper bounds.
+    boxes: Vec<f64>,
+    /// Leaf rows, leaf after leaf, each leaf column-major: column `k` of a
+    /// leaf of `n` rows starting at row `s` is `leaves[s·d + k·n..][..n]`.
+    leaves: Vec<f64>,
     ndim: usize,
     total: u64,
-    root: u32,
 }
 
 impl KdCountTree {
@@ -67,16 +71,15 @@ impl KdCountTree {
         let ndim = data.ndim();
         let mut tree = Self {
             nodes: Vec::new(),
-            points: Vec::with_capacity(n * ndim),
+            boxes: Vec::new(),
+            leaves: Vec::with_capacity(n * ndim),
             ndim,
             total: n as u64,
-            root: 0,
         };
-        if n == 0 {
-            return tree;
+        if n > 0 {
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            tree.build_node(data, &mut ids);
         }
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        tree.root = tree.build_node(data, &mut ids);
         tree
     }
 
@@ -86,59 +89,92 @@ impl KdCountTree {
     }
 
     fn build_node(&mut self, data: &sth_data::Dataset, ids: &mut [u32]) -> u32 {
-        let bbox = bbox_of(data, ids);
+        let id = self.nodes.len() as u32;
+        let d = self.ndim;
+        let at = self.boxes.len();
+        push_bbox(data, ids, &mut self.boxes);
         if ids.len() <= LEAF_SIZE {
-            let start = (self.points.len() / self.ndim) as u32;
-            for &i in ids.iter() {
-                for d in 0..self.ndim {
-                    self.points.push(data.value(i as usize, d));
-                }
+            let start = (self.leaves.len() / d) as u32;
+            for k in 0..d {
+                let col = data.column(k);
+                self.leaves.extend(ids.iter().map(|&i| col[i as usize]));
             }
-            let end = (self.points.len() / self.ndim) as u32;
-            self.nodes.push(Node::Leaf { bbox, start, end });
-            return (self.nodes.len() - 1) as u32;
+            self.nodes.push(Node::Leaf { start, end: start + ids.len() as u32 });
+            return id;
         }
-        // Split on the widest dimension of the bbox at the median point.
-        let split_dim = (0..self.ndim)
-            .max_by(|&a, &b| bbox.extent(a).partial_cmp(&bbox.extent(b)).unwrap())
-            .unwrap();
+        // Split on the widest dimension of the box at the median point.
+        let (lo, hi) = self.boxes[at..].split_at(d);
+        let split_dim = (0..d)
+            .max_by(|&a, &b| (hi[a] - lo[a]).partial_cmp(&(hi[b] - lo[b])).expect("finite box"))
+            .expect("at least one dimension");
+        let col = data.column(split_dim);
         let mid = ids.len() / 2;
         ids.select_nth_unstable_by(mid, |&a, &b| {
-            data.value(a as usize, split_dim)
-                .partial_cmp(&data.value(b as usize, split_dim))
-                .unwrap()
+            col[a as usize].partial_cmp(&col[b as usize]).expect("finite values")
         });
         let count = ids.len() as u64;
+        // A placeholder until the children have their ids.
+        self.nodes.push(Node::Leaf { start: 0, end: 0 });
         let (left_ids, right_ids) = ids.split_at_mut(mid);
         let left = self.build_node(data, left_ids);
         let right = self.build_node(data, right_ids);
-        self.nodes.push(Node::Inner { bbox, count, left, right });
-        (self.nodes.len() - 1) as u32
+        self.nodes[id as usize] = Node::Inner { count, left, right };
+        id
     }
 
-    /// Counts leaf rows within `[start, end)` that fall inside `rect`.
+    /// Node `id`'s packed box.
     #[inline]
-    fn scan_leaf(&self, start: u32, end: u32, rect: &Rect) -> u64 {
+    fn node_box(&self, id: u32) -> &[f64] {
         let d = self.ndim;
-        let lo = rect.lo();
-        let hi = rect.hi();
-        let mut hits = 0u64;
-        let rows = &self.points[start as usize * d..end as usize * d];
-        'rows: for row in rows.chunks_exact(d) {
-            for k in 0..d {
-                let v = row[k];
-                if v < lo[k] || v >= hi[k] {
-                    continue 'rows;
-                }
+        &self.boxes[id as usize * 2 * d..][..2 * d]
+    }
+
+    /// Refuses a query of another dimensionality: a narrower one would
+    /// leave dimensions unbounded and a wider one would lose bounds.
+    #[inline]
+    fn assert_ndim(&self, rect: &Rect) {
+        assert!(
+            rect.ndim() == self.ndim,
+            "a {}-d query on a {}-d kd tree",
+            rect.ndim(),
+            self.ndim
+        );
+    }
+
+    /// Sets `keep[i]` to 1 when row `i` of leaf `start..end` lies in
+    /// `rect` and to 0 otherwise, and returns how many rows lie in it.
+    /// Only the dimensions in which `rect` cuts the leaf's packed box `bx`
+    /// are read: the box holds every row, so where `lo ≤ box lo` and
+    /// `box hi ≤ hi` every row passes.
+    #[inline]
+    fn mark_leaf(
+        &self,
+        (start, end): (u32, u32),
+        bx: &[f64],
+        rect: &Rect,
+        keep: &mut [u64; LEAF_SIZE],
+    ) -> u64 {
+        let n = (end - start) as usize;
+        let (blo, bhi) = bx.split_at(self.ndim);
+        let keep = &mut keep[..n];
+        keep.fill(1);
+        let leaf = &self.leaves[start as usize * self.ndim..end as usize * self.ndim];
+        for (k, col) in leaf.chunks_exact(n).enumerate() {
+            let (lo, hi) = (rect.lo()[k], rect.hi()[k]);
+            if lo <= blo[k] && bhi[k] <= hi {
+                continue;
             }
-            hits += 1;
+            for (m, &v) in keep.iter_mut().zip(col) {
+                *m &= u64::from((lo <= v) & (v < hi));
+            }
         }
-        hits
+        keep.iter().sum()
     }
 }
 
 impl RangeCounter for KdCountTree {
     fn count(&self, rect: &Rect) -> u64 {
+        self.assert_ndim(rect);
         obs::incr(obs::Counter::IndexProbes);
         if self.total == 0 {
             return 0;
@@ -147,25 +183,22 @@ impl RangeCounter for KdCountTree {
         // Accumulated locally (one register add per node) and flushed once:
         // the traversal loop is the probe hot path.
         let mut visited = 0u64;
-        let mut stack = NodeStack::new(self.root);
+        let mut keep = [0; LEAF_SIZE];
+        let mut stack = NodeStack::new(0);
         while let Some(id) = stack.pop() {
             visited += 1;
-            match &self.nodes[id as usize] {
-                Node::Leaf { bbox, start, end } => {
-                    if rect.intersects(bbox) {
-                        hits += self.scan_leaf(*start, *end, rect);
-                    }
+            let bx = self.node_box(id);
+            if !rect.intersects_packed(bx) {
+                continue;
+            }
+            match self.nodes[id as usize] {
+                Node::Inner { count, .. } if rect.contains_packed(bx) => hits += count,
+                Node::Inner { left, right, .. } => {
+                    stack.push(left);
+                    stack.push(right);
                 }
-                Node::Inner { bbox, count, left, right } => {
-                    if !rect.intersects(bbox) {
-                        continue;
-                    }
-                    if rect.contains_rect(bbox) {
-                        hits += count;
-                        continue;
-                    }
-                    stack.push(*left);
-                    stack.push(*right);
+                Node::Leaf { start, end } => {
+                    hits += self.mark_leaf((start, end), bx, rect, &mut keep);
                 }
             }
         }
@@ -179,47 +212,43 @@ impl RangeCounter for KdCountTree {
 
     /// One depth-first walk, right child first (the row order the delta
     /// log has always recorded). Each leaf that contributes a row becomes
-    /// one block of the result, boxed by `leaf box ∩ query`: both boxes
-    /// are at hand, so the zone map costs no pass over the rows. A leaf
-    /// inside the query is copied whole.
+    /// one block of the result: its rows inside the query, row-major, in
+    /// leaf order, boxed by `leaf box ∩ query`. Both boxes are at hand, so
+    /// the zone map costs no pass over the rows.
     fn fill_result(&self, rect: &Rect, out: &mut ResultSetCounter) -> bool {
+        self.assert_ndim(rect);
         obs::incr(obs::Counter::IndexProbes);
-        out.reset(self.ndim.max(1));
+        let d = self.ndim;
+        out.reset(d);
         if self.total == 0 {
             return true;
         }
-        let d = self.ndim;
-        let mut stack = NodeStack::new(self.root);
+        let mut keep = [0; LEAF_SIZE];
+        let mut stack = NodeStack::new(0);
         while let Some(id) = stack.pop() {
-            match &self.nodes[id as usize] {
-                Node::Leaf { bbox, start, end } => {
-                    if !rect.intersects(bbox) {
+            let bx = self.node_box(id);
+            if !rect.intersects_packed(bx) {
+                continue;
+            }
+            match self.nodes[id as usize] {
+                Node::Inner { left, right, .. } => {
+                    stack.push(left);
+                    stack.push(right);
+                }
+                Node::Leaf { start, end } => {
+                    if self.mark_leaf((start, end), bx, rect, &mut keep) == 0 {
                         continue;
                     }
-                    let rows = &self.points[*start as usize * d..*end as usize * d];
-                    if rect.contains_rect(bbox) {
-                        out.rows.extend_from_slice(rows);
-                    } else {
-                        let before = out.rows.len();
-                        for row in rows.chunks_exact(d) {
-                            if rect.contains_point(row) {
-                                out.rows.extend_from_slice(row);
-                            }
-                        }
-                        if out.rows.len() == before {
-                            continue;
-                        }
+                    let n = (end - start) as usize;
+                    let leaf = &self.leaves[start as usize * d..end as usize * d];
+                    for i in (0..n).filter(|&i| keep[i] == 1) {
+                        out.rows.extend(leaf[i..].iter().step_by(n));
                     }
+                    let (blo, bhi) = bx.split_at(d);
                     out.close_block(
-                        bbox.lo().iter().zip(rect.lo()).map(|(a, b)| a.max(*b)),
-                        bbox.hi().iter().zip(rect.hi()).map(|(a, b)| a.min(*b)),
+                        blo.iter().zip(rect.lo()).map(|(a, b)| a.max(*b)),
+                        bhi.iter().zip(rect.hi()).map(|(a, b)| a.min(*b)),
                     );
-                }
-                Node::Inner { bbox, left, right, .. } => {
-                    if rect.intersects(bbox) {
-                        stack.push(*left);
-                        stack.push(*right);
-                    }
                 }
             }
         }
@@ -268,27 +297,26 @@ impl NodeStack {
     }
 }
 
-fn bbox_of(data: &sth_data::Dataset, ids: &[u32]) -> Rect {
-    let ndim = data.ndim();
-    let mut lo = vec![f64::INFINITY; ndim];
-    let mut hi = vec![f64::NEG_INFINITY; ndim];
-    for &i in ids {
-        for d in 0..ndim {
-            let v = data.value(i as usize, d);
-            if v < lo[d] {
-                lo[d] = v;
-            }
-            if v > hi[d] {
-                hi[d] = v;
-            }
+/// Appends the half-open bounding box of the rows `ids` to `boxes`: per
+/// dimension the minimum, then per dimension the maximum grown by one ulp,
+/// so that the maximum point tests as inside whatever its sign. One column
+/// at a time, with selects rather than branches.
+fn push_bbox(data: &sth_data::Dataset, ids: &[u32], boxes: &mut Vec<f64>) {
+    let d = data.ndim();
+    let at = boxes.len();
+    boxes.resize(at + 2 * d, 0.0);
+    let (lo, hi) = boxes[at..].split_at_mut(d);
+    for k in 0..d {
+        let col = data.column(k);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &i in ids {
+            let v = col[i as usize];
+            min = if v < min { v } else { min };
+            max = if v > max { v } else { max };
         }
+        lo[k] = min;
+        hi[k] = max.next_up();
     }
-    // Grow the top edge by one ulp so the maximum point tests as inside
-    // the half-open box — whatever its sign.
-    for h in &mut hi {
-        *h = h.next_up();
-    }
-    Rect::from_bounds(&lo, &hi)
 }
 
 #[cfg(test)]
@@ -370,6 +398,28 @@ mod tests {
         assert_eq!(rs.len() as u64, ds.count_in_scan(&q));
         let (rows, d) = rs.flat_rows();
         assert!(rows.chunks_exact(d).all(|p| q.contains_point(p)));
+    }
+
+    #[test]
+    fn query_of_another_dimensionality_is_refused() {
+        // Over a 3-d tree a 2-d query leaves the third dimension unbounded
+        // and a 4-d query has a bound the tree cannot test: both methods
+        // refuse either, whether the query covers the leaves or cuts them.
+        let mut rng = Rng::seed_from_u64(23);
+        let cols = (0..3).map(|_| (0..2_000).map(|_| rng.gen_range(0.0..10.0)).collect()).collect();
+        let ds = sth_data::Dataset::from_columns("3d", Rect::cube(3, 0.0, 10.0), cols);
+        let t = KdCountTree::build(&ds);
+        for ndim in [2, 4] {
+            for q in [Rect::cube(ndim, 0.0, 10.0), Rect::cube(ndim, 2.0, 7.0)] {
+                let count = std::panic::catch_unwind(|| t.count(&q)).map(drop);
+                let fill = std::panic::catch_unwind(|| ResultSetCounter::from_counter(&t, &q));
+                for refused in [count.err(), fill.map(drop).err()] {
+                    let payload = refused.unwrap_or_else(|| panic!("a {ndim}-d query {q} ran"));
+                    let msg = payload.downcast_ref::<String>().expect("a formatted message");
+                    assert_eq!(*msg, format!("a {ndim}-d query on a 3-d kd tree"));
+                }
+            }
+        }
     }
 
     #[test]
